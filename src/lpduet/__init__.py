@@ -19,10 +19,7 @@ from .errors import (
     UnboundedDirection,
     ZeroPivot,
 )
-from .linalg import gram, mat_vec, solve_spd
 from .model import (
-    BigMForm,
-    BigMNumber,
     ColumnKind,
     Constraint,
     LPModel,
@@ -35,31 +32,19 @@ from .model import (
     build_model,
     constraint_residuals,
     evaluate_objective,
-    lana_instance,
-    to_big_m_form,
     to_equality_form,
 )
-from .simplex import (
-    SimplexOptions,
-    Tableau,
-    init_tableau,
-    pivot,
-    select_entering,
-    select_leaving,
-    solve_simplex,
-)
+from .simplex import SimplexOptions, solve_simplex
 from .affine import (
-    DirectionResult,
     IpmOptions,
     IpmState,
     find_interior_point,
     projected_direction,
-    scaling_matrix,
     solve_affine,
     step,
 )
 from .oracle import BasicSolution, brute_force_optimum, enumerate_basic_solutions
-from .lp_format import lana_lp_path, parse_lp_text, write_lp_text
+from .lp_format import lana_instance, lana_lp_path, parse_lp_text, write_lp_text
 from .reporting import (
     IPM_TRACE_HEADER,
     SIMPLEX_TRACE_HEADER,
@@ -78,12 +63,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasicSolution",
-    "BigMForm",
-    "BigMNumber",
     "ColumnKind",
     "Constraint",
     "DimensionMismatch",
-    "DirectionResult",
     "EmptyModel",
     "IPM_TRACE_HEADER",
     "InfeasibleInterior",
@@ -105,7 +87,6 @@ __all__ = [
     "SolveReport",
     "StandardForm",
     "Status",
-    "Tableau",
     "TooLarge",
     "TraceRow",
     "UnboundedDirection",
@@ -117,25 +98,16 @@ __all__ = [
     "enumerate_basic_solutions",
     "evaluate_objective",
     "find_interior_point",
-    "gram",
-    "init_tableau",
     "ipm_trace_rows",
     "lana_instance",
     "lana_lp_path",
-    "mat_vec",
     "parse_lp_text",
-    "pivot",
     "projected_direction",
     "report_as_dict",
     "run_cli",
-    "scaling_matrix",
-    "select_entering",
-    "select_leaving",
     "solve_affine",
     "solve_simplex",
-    "solve_spd",
     "step",
-    "to_big_m_form",
     "to_equality_form",
     "write_iteration_trace",
     "write_lp_text",

@@ -80,22 +80,12 @@ class IpmState:
 class DirectionResult:
     """Projected ascent direction in scaled space, with its multipliers.
 
-    ``d`` equals ``reduced`` (the projected scaled gradient); both are kept
-    because callers read them in different roles: d as the step direction,
-    reduced as the scaled reduced costs for the complementarity stop.
+    ``d`` is the projected scaled gradient: the step direction, and also the
+    scaled reduced costs that the complementarity stop reads.
     """
 
     d: np.ndarray
     dual_y: np.ndarray
-    reduced: np.ndarray
-
-
-def scaling_matrix(x) -> np.ndarray:
-    """diag(x) for a strictly positive x."""
-    x = as_vector(x)
-    if x.size == 0 or float(x.min()) <= 0.0:
-        raise NotInterior("scaling point must be strictly positive")
-    return np.diag(x)
 
 
 def projected_direction(a, c, x, ridge: float = 0.0) -> DirectionResult:
@@ -136,7 +126,7 @@ def projected_direction(a, c, x, ridge: float = 0.0) -> DirectionResult:
     d = c_tilde - ahat.T @ y1
     y2 = _solve(ahat @ d)
     d = d - ahat.T @ y2
-    return DirectionResult(d=d, dual_y=y1 + y2, reduced=d)
+    return DirectionResult(d=d, dual_y=y1 + y2)
 
 
 def step(x, d, alpha: float, zero_tol: float = 0.0) -> np.ndarray:
@@ -297,7 +287,7 @@ def solve_affine(
         obj_new = float(c @ x_new)
         iterations = k
         trace.append(IpmState(x_new.copy(), k, -obj_new if form.negated else obj_new, step_norm))
-        comp = float(np.abs(direction.reduced).max())
+        comp = float(np.abs(direction.d).max())
         converged = (
             step_norm <= opts.tol
             or abs(obj_new - obj) <= opts.tol * (1.0 + abs(obj))

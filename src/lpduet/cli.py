@@ -12,14 +12,15 @@ the simplex status when the two engines disagree.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 
 from .affine import IpmOptions, solve_affine
 from .errors import InfeasibleInterior, LpError, ParseError
-from .lp_format import lana_lp_path, parse_lp_text
-from .model import LPModel, Solution, Status, lana_instance, to_equality_form
+from .lp_format import lana_instance, parse_lp_text
+from .model import LPModel, Solution, Status, to_equality_form
 from .reporting import (
     SolveReport,
     TraceRow,
@@ -49,6 +50,26 @@ def _step_fraction(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpduet",
@@ -64,10 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--alpha", type=_step_fraction, default=0.5,
                        help="interior-point step fraction (0 < alpha < 1, capped at 0.95)")
-    solve.add_argument("--tol", type=float, default=1e-8,
-                       help="interior-point convergence tolerance")
-    solve.add_argument("--max-iter", type=int, default=None,
-                       help="iteration cap for both engines")
+    solve.add_argument("--tol", type=_positive_float, default=1e-8,
+                       help="interior-point convergence tolerance (positive)")
+    solve.add_argument("--max-iter", type=_positive_int, default=None,
+                       help="iteration cap for both engines (positive)")
     solve.add_argument("--trace", metavar="PATH", default=None,
                        help="write an iteration trace CSV")
     solve.add_argument("--json", action="store_true", help="emit JSON reports")

@@ -1,4 +1,4 @@
-"""Dense kernels shared by both engines: products, Gram matrices, SPD solves."""
+"""Dense kernels shared by both engines: input coercion, Gram matrices, SPD solves."""
 
 from __future__ import annotations
 
@@ -31,17 +31,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NonFiniteInput("matrix contains NaN or infinity")
     return m
-
-
-def mat_vec(a, x) -> np.ndarray:
-    """Product A x with shape validation."""
-    a = as_matrix(a)
-    x = as_vector(x)
-    if a.shape[1] != x.shape[0]:
-        raise DimensionMismatch(
-            f"matrix has {a.shape[1]} columns but vector has {x.shape[0]} entries"
-        )
-    return a @ x
 
 
 def gram(a) -> np.ndarray:

@@ -9,7 +9,6 @@ it and records a flag so reported objectives can be un-negated at the boundary.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -173,30 +172,6 @@ def build_model(sense, names, objective, constraints) -> LPModel:
     return LPModel(sense, names, objective, tuple(rows))
 
 
-def lana_instance() -> LPModel:
-    """The bundled LANA production-planning model (six products, 15 rows)."""
-    profit = (8.073, 6.398, 3.9965, 5.943, 5.52175, 7.1955)
-    rows = [
-        ("total_min", (1, 1, 1, 1, 1, 1), Relation.GE, 74500),
-        ("total_max", (1, 1, 1, 1, 1, 1), Relation.LE, 130000),
-        ("revenue_min", (29.601, 19.194, 21.5811, 22.923, 21.2375, 19.188),
-         Relation.GE, 1823806.45),
-        ("profit_min", profit, Relation.GE, 467663.125),
-        ("profit_cap", profit, Relation.LE, 765056.25),
-        ("line_a_cap", (0.5, 1, 0.5, 0.25, 0, 0), Relation.LE, 50000),
-        ("line_b_cap", (0.25, 0, 0.25, 0.25, 0.5, 0), Relation.LE, 40000),
-        ("line_c_cap", (0.25, 0, 0.25, 0.5, 0.5, 1), Relation.LE, 40000),
-        ("k1_min", (1, 0, 0, 0, 0, 0), Relation.GE, 11000),
-        ("k2_min", (0, 1, 0, 0, 0, 0), Relation.GE, 2200),
-        ("k3_min", (0, 0, 1, 0, 0, 0), Relation.GE, 8800),
-        ("k4_min", (0, 0, 0, 1, 0, 0), Relation.GE, 2200),
-        ("k5_min", (0, 0, 0, 0, 1, 0), Relation.GE, 4400),
-        ("k6_min", (0, 0, 0, 0, 0, 1), Relation.GE, 2200),
-        ("k6_max", (0, 0, 0, 0, 0, 1), Relation.LE, 6500),
-    ]
-    return build_model(Sense.MAX, ("K1", "K2", "K3", "K4", "K5", "K6"), profit, rows)
-
-
 def evaluate_objective(model: LPModel, x) -> float:
     """Objective value c . x in the model's native sense."""
     x = as_vector(x)
@@ -269,7 +244,6 @@ class StandardForm:
     b: np.ndarray
     c: np.ndarray
     column_kinds: tuple[ColumnKind, ...]
-    row_origin: tuple[int, ...]
     negated: bool
 
     @property
@@ -314,45 +288,7 @@ def to_equality_form(model: LPModel) -> StandardForm:
     c = np.zeros(total)
     negated = model.sense is Sense.MIN
     c[:n] = -model.objective if negated else model.objective
-    return StandardForm(a, b, c, tuple(kinds), tuple(range(m)), negated)
-
-
-@functools.total_ordering
-@dataclass(frozen=True)
-class BigMNumber:
-    """A value finite + m_coeff * M for a symbolically infinite penalty M.
-
-    Ordering is lexicographic: m_coeff decides first, the finite part breaks
-    ties. Supports addition, subtraction, negation and scalar scaling; M is
-    never replaced by a numeric constant.
-    """
-
-    finite: float
-    m_coeff: float = 0.0
-
-    def __post_init__(self):
-        # arithmetic upstream may hand in numpy scalars; pin plain floats so
-        # reprs and comparisons behave the same everywhere
-        object.__setattr__(self, "finite", float(self.finite))
-        object.__setattr__(self, "m_coeff", float(self.m_coeff))
-
-    def __add__(self, other: "BigMNumber") -> "BigMNumber":
-        return BigMNumber(self.finite + other.finite, self.m_coeff + other.m_coeff)
-
-    def __sub__(self, other: "BigMNumber") -> "BigMNumber":
-        return BigMNumber(self.finite - other.finite, self.m_coeff - other.m_coeff)
-
-    def __neg__(self) -> "BigMNumber":
-        return BigMNumber(-self.finite, -self.m_coeff)
-
-    def __mul__(self, scalar) -> "BigMNumber":
-        s = float(scalar)
-        return BigMNumber(self.finite * s, self.m_coeff * s)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other: "BigMNumber") -> bool:
-        return (self.m_coeff, self.finite) < (other.m_coeff, other.finite)
+    return StandardForm(a, b, c, tuple(kinds), negated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,14 +296,17 @@ class BigMForm:
     """Equality form extended with artificial columns for >= and = rows.
 
     ``a_full`` is the assembled matrix [A | artificial identity block];
-    ``artificial_cols`` lists (column, row) pairs; ``objective`` gives every
-    column's cost as a BigMNumber (artificials carry m_coeff = -1).
+    ``artificial_cols`` lists (column, row) pairs. Column j costs
+    ``c_fin[j] + c_m[j] * M`` for a symbolically infinite penalty M: c_fin is
+    the equality-form cost, zero on the artificials, and c_m is -1 on the
+    artificials and zero elsewhere.
     """
 
     base: StandardForm
     a_full: np.ndarray
     artificial_cols: tuple[tuple[int, int], ...]
-    objective: tuple[BigMNumber, ...]
+    c_fin: np.ndarray
+    c_m: np.ndarray
 
     @property
     def column_kinds(self) -> tuple[ColumnKind, ...]:
@@ -404,9 +343,9 @@ def to_big_m_form(model: LPModel) -> BigMForm:
     for k, row in enumerate(art_rows):
         a_full[row, n0 + k] = 1.0
         artificial.append((n0 + k, row))
-    objective = [BigMNumber(float(cj)) for cj in base.c]
-    objective.extend(BigMNumber(0.0, -1.0) for _ in art_rows)
-    return BigMForm(base, a_full, tuple(artificial), tuple(objective))
+    c_fin = np.concatenate([base.c, np.zeros(len(art_rows))])
+    c_m = np.concatenate([np.zeros(n0), np.full(len(art_rows), -1.0)])
+    return BigMForm(base, a_full, tuple(artificial), c_fin, c_m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,5 +395,5 @@ def binding_rows(form: StandardForm, x_full, tol: float = FEASIBILITY_TOL) -> tu
     for i in range(form.n_rows):
         j = slack_col.get(i)
         if j is None or abs(x_full[j]) <= tol * (1.0 + abs(form.b[i])):
-            out.append(form.row_origin[i])
+            out.append(i)
     return tuple(out)

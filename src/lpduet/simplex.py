@@ -1,10 +1,11 @@
 """Big-M tableau simplex engine.
 
-The tableau keeps its body and rhs as plain float arrays; only the objective
-row and objective value carry BigMNumber pairs, so the artificial penalty M
-stays symbolic from the first pivot to the last. The objective row stores
-Z_j - C_j: optimality for a maximization means every entry is >= -pivot_tol
-under the lexicographic BigMNumber order.
+The tableau is held in plain float arrays. The objective row is two arrays,
+z_fin and z_m, and the objective value two floats, obj_fin and obj_m: each
+entry stands for fin + m * M, so the artificial penalty M stays symbolic from
+the first pivot to the last. The objective row stores Z_j - C_j, compared
+lexicographically (the M coefficient first, then the finite part): optimality
+for a maximization means no entry is below -pivot_tol in that order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import ZeroPivot
 from .model import (
     BigMForm,
-    BigMNumber,
     LPModel,
     Solution,
     Status,
@@ -56,8 +56,10 @@ class Tableau:
     body: np.ndarray
     rhs: np.ndarray
     basis: tuple[int, ...]
-    obj_row: tuple[BigMNumber, ...]
-    obj_value: BigMNumber
+    z_fin: np.ndarray
+    z_m: np.ndarray
+    obj_fin: float
+    obj_m: float
 
 
 def init_tableau(form: BigMForm) -> Tableau:
@@ -65,44 +67,34 @@ def init_tableau(form: BigMForm) -> Tableau:
     body = form.a_full.copy()
     rhs = form.base.b.copy()
     basis = form.starting_basis()
-    c_fin = np.array([bm.finite for bm in form.objective])
-    c_m = np.array([bm.m_coeff for bm in form.objective])
+    c_fin, c_m = form.c_fin, form.c_m
     basis_idx = list(basis)
-    z_fin = c_fin[basis_idx] @ body
-    z_m = c_m[basis_idx] @ body
-    obj_row = tuple(
-        BigMNumber(z_fin[j] - c_fin[j], z_m[j] - c_m[j]) for j in range(body.shape[1])
-    )
-    obj_value = BigMNumber(float(c_fin[basis_idx] @ rhs), float(c_m[basis_idx] @ rhs))
-    return Tableau(body, rhs, basis, obj_row, obj_value)
-
-
-def _is_negative(bm: BigMNumber, tol: float) -> bool:
-    if bm.m_coeff < -tol:
-        return True
-    return abs(bm.m_coeff) <= tol and bm.finite < -tol
-
-
-def _neg_key(bm: BigMNumber, tol: float):
-    # Snap m_coeff rounding noise to zero so a 1e-17 residue cannot outrank
-    # a genuinely negative finite part.
-    m = 0.0 if abs(bm.m_coeff) <= tol else bm.m_coeff
-    return (m, bm.finite)
+    z_fin = c_fin[basis_idx] @ body - c_fin
+    z_m = c_m[basis_idx] @ body - c_m
+    obj_fin = float(c_fin[basis_idx] @ rhs)
+    obj_m = float(c_m[basis_idx] @ rhs)
+    return Tableau(body, rhs, basis, z_fin, z_m, obj_fin, obj_m)
 
 
 def select_entering(t: Tableau, opts: SimplexOptions) -> int | None:
     """Column with the most negative objective entry, or None at optimality.
 
-    Ties go to the smallest column index. Under Bland's rule the first
-    negative column wins outright.
+    Entries compare by M coefficient first, then by finite part; ties go to
+    the smallest column index. Under Bland's rule the first negative column
+    wins outright.
     """
     tol = opts.pivot_tol
-    candidates = [j for j, bm in enumerate(t.obj_row) if _is_negative(bm, tol)]
-    if not candidates:
+    # Snap M-coefficient rounding noise to zero so a 1e-17 residue cannot
+    # outrank a genuinely negative finite part.
+    z_m = np.where(np.abs(t.z_m) <= tol, 0.0, t.z_m)
+    candidates = np.flatnonzero((z_m < -tol) | ((z_m == 0.0) & (t.z_fin < -tol)))
+    if candidates.size == 0:
         return None
     if opts.anti_cycling == BLAND:
-        return candidates[0]
-    return min(candidates, key=lambda j: _neg_key(t.obj_row[j], tol))
+        return int(candidates[0])
+    # lexsort is stable and sorts by its last key first.
+    order = np.lexsort((t.z_fin[candidates], z_m[candidates]))
+    return int(candidates[order[0]])
 
 
 def select_leaving(t: Tableau, enter: int, opts: SimplexOptions) -> int | None:
@@ -140,17 +132,17 @@ def pivot(t: Tableau, row: int, col: int, pivot_tol: float = 1e-9) -> Tableau:
     window = pivot_tol * (1.0 + float(np.abs(rhs).max()))
     rhs[(rhs < 0.0) & (rhs >= -window)] = 0.0
 
-    f = t.obj_row[col]
-    fin = np.array([bm.finite for bm in t.obj_row]) - f.finite * prow
-    m = np.array([bm.m_coeff for bm in t.obj_row]) - f.m_coeff * prow
-    obj_row = [BigMNumber(fin[j], m[j]) for j in range(body.shape[1])]
-    obj_row[col] = BigMNumber(0.0, 0.0)
-    obj_value = BigMNumber(
-        t.obj_value.finite - f.finite * prhs, t.obj_value.m_coeff - f.m_coeff * prhs
-    )
+    f_fin = float(t.z_fin[col])
+    f_m = float(t.z_m[col])
+    z_fin = t.z_fin - f_fin * prow
+    z_m = t.z_m - f_m * prow
+    z_fin[col] = 0.0
+    z_m[col] = 0.0
     basis = list(t.basis)
     basis[row] = col
-    return Tableau(body, rhs, tuple(basis), tuple(obj_row), obj_value)
+    return Tableau(
+        body, rhs, tuple(basis), z_fin, z_m, t.obj_fin - f_fin * prhs, t.obj_m - f_m * prhs
+    )
 
 
 def _artificial_level(t: Tableau, art_cols: set[int]) -> float:
@@ -207,7 +199,7 @@ def solve_simplex(
         t = pivot(t, leave, enter, opts.pivot_tol)
         pivots += 1
         if on_pivot is not None:
-            on_pivot(pivots, enter, leaving_col, t.obj_value.finite, t.obj_value.m_coeff)
+            on_pivot(pivots, enter, leaving_col, t.obj_fin, t.obj_m)
         degenerate_run = degenerate_run + 1 if degenerate else 0
         if effective.anti_cycling != BLAND and degenerate_run >= 3 * m_rows:
             effective = replace(opts, anti_cycling=BLAND)

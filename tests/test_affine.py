@@ -17,7 +17,6 @@ from lpduet import (
     find_interior_point,
     lana_instance,
     projected_direction,
-    scaling_matrix,
     solve_affine,
     solve_simplex,
     step,
@@ -35,15 +34,6 @@ def toy_form():
     return to_equality_form(m)
 
 
-def test_scaling_matrix():
-    npt.assert_array_equal(scaling_matrix(np.array([2.0, 3.0])), np.diag([2.0, 3.0]))
-    npt.assert_array_equal(scaling_matrix(np.ones(21)), np.eye(21))
-    with pytest.raises(NotInterior):
-        scaling_matrix(np.array([1.0, 0.0]))
-    with pytest.raises(NotInterior):
-        scaling_matrix(np.array([1.0, -0.5]))
-
-
 def test_projected_direction_hand_example():
     a = np.array([[1.0, 1.0]])
     c = np.array([1.0, 0.0])
@@ -51,7 +41,6 @@ def test_projected_direction_hand_example():
     result = projected_direction(a, c, x)
     npt.assert_allclose(result.d, np.array([0.5, -0.5]), atol=1e-14)
     npt.assert_allclose(result.dual_y, np.array([0.5]), atol=1e-14)
-    npt.assert_allclose(result.reduced, result.d, atol=1e-14)
 
 
 def test_projected_direction_annihilates_row_space():

@@ -98,6 +98,18 @@ def test_alpha_outside_unit_interval_is_a_usage_error(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--max-iter", "-5"), ("--max-iter", "0")],
+)
+def test_nonpositive_tol_or_max_iter_is_a_usage_error(tmp_path, capsys, flag, value):
+    code = run_cli(["solve", write(tmp_path, TOY), "--method", "affine", flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+
+
 def test_affine_trace_file(tmp_path, capsys):
     target = tmp_path / "trace.csv"
     code = run_cli(

@@ -1,4 +1,4 @@
-"""Dense kernel checks: validation, matvec, Gram products, SPD solves."""
+"""Dense kernel checks: validation, Gram products, SPD solves."""
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rng_for
 from lpduet import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
-from lpduet.linalg import RESIDUAL_RTOL, as_matrix, as_vector, gram, mat_vec, solve_spd
+from lpduet.linalg import RESIDUAL_RTOL, as_matrix, as_vector, gram, solve_spd
 
 
 def test_as_vector_accepts_lists_and_rejects_bad_shapes():
@@ -25,22 +25,6 @@ def test_as_matrix_accepts_nested_lists_and_rejects_bad_shapes():
         as_matrix([1.0, 2.0])
     with pytest.raises(NonFiniteInput):
         as_matrix([[np.nan]])
-
-
-def test_mat_vec_matches_row_sums():
-    rng = rng_for(11)
-    for _ in range(20):
-        m = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 7))
-        a = rng.normal(size=(m, n))
-        x = rng.normal(size=n)
-        expected = np.array([sum(a[i, j] * x[j] for j in range(n)) for i in range(m)])
-        npt.assert_allclose(mat_vec(a, x), expected, rtol=1e-13, atol=1e-13)
-
-
-def test_mat_vec_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        mat_vec(np.ones((2, 3)), np.ones(2))
 
 
 def test_gram_is_exactly_symmetric_and_correct():

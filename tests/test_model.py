@@ -6,7 +6,6 @@ import pytest
 
 from conftest import rng_for, random_bounded_lp
 from lpduet import (
-    BigMNumber,
     DimensionMismatch,
     EmptyModel,
     NonFiniteInput,
@@ -147,25 +146,6 @@ def test_equality_form_feasibility_transfer():
         assert form.n_structural == len(m.variable_names)
 
 
-def test_bigm_ordering_and_arithmetic():
-    a = BigMNumber(5.0, 0.0)
-    b = BigMNumber(-100.0, 1.0)
-    c = BigMNumber(0.0, -1.0)
-    assert c < a < b
-    assert a + c == BigMNumber(5.0, -1.0)
-    assert b - a == BigMNumber(-105.0, 1.0)
-    assert -c == BigMNumber(0.0, 1.0)
-    assert c * 2.0 == BigMNumber(0.0, -2.0)
-    assert BigMNumber(1.0, 0.0) < BigMNumber(2.0, 0.0)
-
-
-def test_bigm_pins_components_to_plain_floats():
-    n = BigMNumber(np.float64(88803.0), np.float64(-1.0))
-    assert type(n.finite) is float
-    assert type(n.m_coeff) is float
-    assert repr(n.finite) == "88803.0"
-
-
 def test_to_big_m_form_lana_structure():
     bm = to_big_m_form(lana_instance())
     assert bm.a_full.shape == (15, 30)
@@ -174,7 +154,8 @@ def test_to_big_m_form_lana_structure():
     assert kinds.count(ARTIFICIAL) == 9
     # artificial objective entries carry the -M penalty
     for col, row in bm.artificial_cols:
-        assert bm.objective[col].m_coeff == -1.0
+        assert bm.c_m[col] == -1.0
+        assert bm.c_fin[col] == 0.0
         assert bm.a_full[row, col] == 1.0
     basis = bm.starting_basis()
     assert len(basis) == 15

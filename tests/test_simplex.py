@@ -16,7 +16,15 @@ from lpduet import (
     solve_simplex,
 )
 from lpduet.model import to_big_m_form
-from lpduet.simplex import BLAND, init_tableau, pivot, select_entering, select_leaving
+from lpduet.simplex import (
+    BLAND,
+    LARGEST_COEFFICIENT,
+    Tableau,
+    init_tableau,
+    pivot,
+    select_entering,
+    select_leaving,
+)
 
 
 def toy_model():
@@ -29,7 +37,15 @@ def toy_model():
 
 
 def finite_row(t):
-    return tuple(bm.finite for bm in t.obj_row)
+    return tuple(t.z_fin.tolist())
+
+
+def row_tableau(z_fin, z_m):
+    """A one-row tableau that only select_entering reads: just the objective row."""
+    n = len(z_fin)
+    return Tableau(
+        np.eye(1, n), np.ones(1), (0,), np.array(z_fin, float), np.array(z_m, float), 0.0, 0.0
+    )
 
 
 def test_init_tableau_toy():
@@ -37,8 +53,8 @@ def test_init_tableau_toy():
     assert t.basis == (2, 3)
     npt.assert_array_equal(t.rhs, np.array([4.0, 2.0]))
     assert finite_row(t) == (-3.0, -2.0, 0.0, 0.0)
-    assert all(bm.m_coeff == 0.0 for bm in t.obj_row)
-    assert t.obj_value.finite == 0.0
+    assert not t.z_m.any()
+    assert t.obj_fin == 0.0
 
 
 def test_toy_pivots_by_hand():
@@ -52,7 +68,7 @@ def test_toy_pivots_by_hand():
     t = pivot(t, row, col)
     assert t.basis == (2, 0)
     assert finite_row(t) == (0.0, -2.0, 0.0, 3.0)
-    assert t.obj_value.finite == 6.0
+    assert t.obj_fin == 6.0
     npt.assert_array_equal(t.rhs, np.array([2.0, 2.0]))
 
     col = select_entering(t, opts)
@@ -62,7 +78,7 @@ def test_toy_pivots_by_hand():
     t = pivot(t, row, col)
     assert t.basis == (1, 0)
     assert finite_row(t) == (0.0, 0.0, 2.0, 1.0)
-    assert t.obj_value.finite == 10.0
+    assert t.obj_fin == 10.0
 
     assert select_entering(t, opts) is None
 
@@ -71,13 +87,26 @@ def test_pivot_cleans_basic_columns_exactly():
     t = init_tableau(to_big_m_form(toy_model()))
     t = pivot(t, 1, 0)
     npt.assert_array_equal(t.body[:, 0], np.array([0.0, 1.0]))
-    assert t.obj_row[0].finite == 0.0 and t.obj_row[0].m_coeff == 0.0
+    assert t.z_fin[0] == 0.0 and t.z_m[0] == 0.0
 
 
 def test_pivot_rejects_tiny_element():
     t = init_tableau(to_big_m_form(toy_model()))
     with pytest.raises(ZeroPivot):
         pivot(t, 1, 1)  # body[1, 1] is 0
+
+
+def test_select_entering_snaps_m_residue_to_zero():
+    # A 1e-17 M coefficient is rounding noise: column 1's finite part wins.
+    t = row_tableau([-1.0, -2.0], [-1e-17, 0.0])
+    assert select_entering(t, SimplexOptions()) == 1
+
+
+def test_select_entering_orders_m_then_finite_then_index():
+    t = row_tableau([-100.0, 7.0, 5.0, 5.0, 0.0], [0.0, -1.0, -1.0, -1.0, 0.0])
+    assert select_entering(t, SimplexOptions()) == 2
+    assert select_entering(t, SimplexOptions(anti_cycling=BLAND)) == 0
+    assert select_entering(row_tableau([0.0, -1e-12], [1e-12, 0.0]), SimplexOptions()) is None
 
 
 def test_select_leaving_breaks_ties_by_basic_index():
@@ -109,6 +138,29 @@ def test_solve_lana():
     )
     npt.assert_allclose(sol.x, expected, rtol=1e-6)
     assert 4 in sol.binding  # the profit cap is attained
+
+
+LANA_PIVOTS = {
+    LARGEST_COEFFICIENT: [
+        (0, 24), (14, 23), (2, 26), (16, 22), (5, 29), (1, 25), (4, 28), (3, 27),
+        (19, 20), (15, 21), (9, 16), (6, 11), (18, 14), (8, 13), (20, 19), (14, 10),
+    ],
+    BLAND: [
+        (0, 24), (1, 25), (2, 26), (3, 27), (4, 28), (5, 29), (14, 23), (9, 22),
+        (8, 21), (6, 10),
+    ],
+}
+
+
+@pytest.mark.parametrize("rule", [LARGEST_COEFFICIENT, BLAND])
+def test_lana_pivot_sequence_is_pinned(rule):
+    seen = []
+    solve_simplex(
+        lana_instance(),
+        SimplexOptions(anti_cycling=rule),
+        on_pivot=lambda k, enter, leave, fin, m: seen.append((enter, leave)),
+    )
+    assert seen == LANA_PIVOTS[rule]
 
 
 def test_solve_lana_with_bland_rule():
