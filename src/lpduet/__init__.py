@@ -20,7 +20,6 @@ from .errors import (
     ZeroPivot,
 )
 from .model import (
-    ColumnKind,
     Constraint,
     LPModel,
     Relation,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasicSolution",
-    "ColumnKind",
     "Constraint",
     "DimensionMismatch",
     "EmptyModel",

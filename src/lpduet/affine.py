@@ -32,8 +32,6 @@ from .model import (
     Solution,
     StandardForm,
     Status,
-    SLACK,
-    SURPLUS,
     binding_rows,
     native_objective,
     structural_values,
@@ -53,7 +51,6 @@ class IpmOptions:
     alpha: float = 0.5
     tol: float = 1e-8
     max_iter: int = 500
-    ridge: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -62,8 +59,6 @@ class IpmOptions:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.ridge < 0.0:
-            raise ValueError("ridge must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +83,7 @@ class DirectionResult:
     dual_y: np.ndarray
 
 
-def projected_direction(a, c, x, ridge: float = 0.0) -> DirectionResult:
+def projected_direction(a, c, x) -> DirectionResult:
     """Project the scaled objective onto the nullspace of A diag(x).
 
     Solves the normal equations (Ahat Ahat^T) y = Ahat c_tilde through
@@ -112,13 +107,10 @@ def projected_direction(a, c, x, ridge: float = 0.0) -> DirectionResult:
 
     def _solve(rhs: np.ndarray) -> np.ndarray:
         try:
-            return solve_spd(s, rhs, ridge)
+            return solve_spd(s, rhs)
         except NotPositiveDefinite:
-            fallback = 1e-10 * float(np.trace(s)) / max(1, m)
-            if fallback <= ridge:
-                raise RankDeficient("scaled normal equations are not positive definite") from None
             try:
-                return solve_spd(s, rhs, fallback)
+                return solve_spd(s, rhs, 1e-10 * float(np.trace(s)) / max(1, m))
             except NotPositiveDefinite:
                 raise RankDeficient("scaled normal equations are not positive definite") from None
 
@@ -152,10 +144,10 @@ def step(x, d, alpha: float, zero_tol: float = 0.0) -> np.ndarray:
     return x * (1.0 + (alpha / abs(gamma)) * d)
 
 
-def _least_squares_snap(a: np.ndarray, x: np.ndarray, b: np.ndarray, ridge: float) -> np.ndarray:
+def _least_squares_snap(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm correction of x onto A x = b; caller checks positivity."""
     resid = b - a @ x
-    y = solve_spd(gram(a), resid, ridge)
+    y = solve_spd(gram(a), resid)
     return x + a.T @ y
 
 
@@ -189,7 +181,7 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
     for _ in range(max(opts.max_iter, PHASE1_MIN_ITER)):
         if x[-1] <= PHASE1_ART_TOL:
             break
-        direction = projected_direction(a_aug, c_aug, x, opts.ridge)
+        direction = projected_direction(a_aug, c_aug, x)
         zero_tol = opts.tol * (1.0 + float(np.linalg.norm(x * c_aug)))
         try:
             x_new = step(x, direction.d, opts.alpha, zero_tol)
@@ -210,7 +202,7 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
     x0 = x[:-1]
     budget = EQUALITY_RTOL * (1.0 + b_norm)
     if float(np.linalg.norm(b - a @ x0)) > 0.5 * budget:
-        snapped = _least_squares_snap(a, x0, b, opts.ridge)
+        snapped = _least_squares_snap(a, x0, b)
         if float(snapped.min()) > 0.0:
             x0 = snapped
     if float(x0.min()) <= 0.0 or float(np.linalg.norm(b - a @ x0)) > budget:
@@ -218,7 +210,7 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
     return x0
 
 
-def _prepare_start(form: StandardForm, x0, opts: IpmOptions) -> np.ndarray:
+def _prepare_start(form: StandardForm, x0) -> np.ndarray:
     """Lift a caller-supplied start off the boundary and re-project it.
 
     Components at or near zero (vertex warm starts have exactly-zero slacks)
@@ -230,12 +222,10 @@ def _prepare_start(form: StandardForm, x0, opts: IpmOptions) -> np.ndarray:
         raise NotInterior(
             f"start has {x.shape[0]} entries, equality form has {form.n_cols} columns"
         )
-    floors = np.empty(form.n_cols)
-    for j, kind in enumerate(form.column_kinds):
-        ref = abs(float(form.b[kind.index])) if kind.kind in (SLACK, SURPLUS) else 0.0
-        floors[j] = 1e-3 * (1.0 + ref)
+    floors = np.full(form.n_cols, 1e-3)
+    floors[form.n_structural :] = 1e-3 * (1.0 + np.abs(form.b[form.slack_rows]))
     x = np.maximum(x, floors)
-    x = _least_squares_snap(form.a, x, form.b, opts.ridge)
+    x = _least_squares_snap(form.a, x, form.b)
     b_norm = float(np.linalg.norm(form.b))
     if float(x.min()) <= 0.0:
         raise NotInterior("warm start could not be lifted off the boundary")
@@ -261,7 +251,7 @@ def solve_affine(
     a = form.a
     b = form.b
     c = form.c
-    x = find_interior_point(form, opts) if x0 is None else _prepare_start(form, x0, opts)
+    x = find_interior_point(form, opts) if x0 is None else _prepare_start(form, x0)
 
     b_norm = float(np.linalg.norm(b))
     budget = EQUALITY_RTOL * (1.0 + b_norm)
@@ -270,7 +260,7 @@ def solve_affine(
     status = Status.ITERATION_LIMIT
     iterations = 0
     for k in range(1, opts.max_iter + 1):
-        direction = projected_direction(a, c, x, opts.ridge)
+        direction = projected_direction(a, c, x)
         zero_tol = opts.tol * (1.0 + float(np.linalg.norm(x * c)))
         try:
             x_new = step(x, direction.d, opts.alpha, zero_tol)
@@ -280,7 +270,7 @@ def solve_affine(
         # the projection residual, which compounds over hundreds of iterates
         # at large |b|; snap back before it can leave the budget.
         if float(np.linalg.norm(b - a @ x_new)) > 0.25 * budget:
-            snapped = _least_squares_snap(a, x_new, b, opts.ridge)
+            snapped = _least_squares_snap(a, x_new, b)
             if float(snapped.min()) > 0.0:
                 x_new = snapped
         step_norm = float(np.linalg.norm(x_new - x)) / (1.0 + float(np.linalg.norm(x)))

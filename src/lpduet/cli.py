@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .affine import IpmOptions, solve_affine
@@ -83,9 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--method", choices=("simplex", "affine", "both"), default="both"
     )
-    solve.add_argument("--alpha", type=_step_fraction, default=0.5,
+    solve.add_argument("--alpha", type=_step_fraction, default=IpmOptions.alpha,
                        help="interior-point step fraction (0 < alpha < 1, capped at 0.95)")
-    solve.add_argument("--tol", type=_positive_float, default=1e-8,
+    solve.add_argument("--tol", type=_positive_float, default=IpmOptions.tol,
                        help="interior-point convergence tolerance (positive)")
     solve.add_argument("--max-iter", type=_positive_int, default=None,
                        help="iteration cap for both engines (positive)")
@@ -98,21 +99,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _simplex_options(ns) -> SimplexOptions:
-    if getattr(ns, "max_iter", None):
-        return SimplexOptions(max_pivots=ns.max_iter)
-    return SimplexOptions()
+def _options(ns) -> tuple[SimplexOptions, IpmOptions]:
+    """Engine options from the solve flags; --alpha is capped at 0.95."""
+    ipm = IpmOptions(alpha=min(ns.alpha, 0.95), tol=ns.tol)
+    if ns.max_iter is None:
+        return SimplexOptions(), ipm
+    return SimplexOptions(max_pivots=ns.max_iter), replace(ipm, max_iter=ns.max_iter)
 
 
-def _ipm_options(ns) -> IpmOptions:
-    alpha = min(getattr(ns, "alpha", 0.5), 0.95)
-    kwargs = {"alpha": alpha, "tol": getattr(ns, "tol", 1e-8)}
-    if getattr(ns, "max_iter", None):
-        kwargs["max_iter"] = ns.max_iter
-    return IpmOptions(**kwargs)
-
-
-def _run_simplex(model: LPModel, ns) -> tuple[SolveReport, Solution, list[TraceRow]]:
+def _run_simplex(
+    model: LPModel, opts: SimplexOptions
+) -> tuple[SolveReport, Solution, list[TraceRow]]:
     rows: list[TraceRow] = []
 
     def record(iteration, entering, leaving, obj_finite, _obj_m):
@@ -122,16 +119,18 @@ def _run_simplex(model: LPModel, ns) -> tuple[SolveReport, Solution, list[TraceR
         )
 
     start = time.perf_counter()
-    solution = solve_simplex(model, _simplex_options(ns), on_pivot=record)
+    solution = solve_simplex(model, opts, on_pivot=record)
     elapsed_ms = 1e3 * (time.perf_counter() - start)
     return build_report("simplex", model, solution, elapsed_ms), solution, rows
 
 
-def _run_affine(model: LPModel, ns) -> tuple[SolveReport, Solution, list[TraceRow]]:
+def _run_affine(
+    model: LPModel, opts: IpmOptions
+) -> tuple[SolveReport, Solution, list[TraceRow]]:
     form = to_equality_form(model)
     start = time.perf_counter()
     try:
-        solution, states = solve_affine(form, None, _ipm_options(ns))
+        solution, states = solve_affine(form, None, opts)
         rows = ipm_trace_rows(states, form)
     except InfeasibleInterior as exc:
         print(f"warning: {exc}; reporting infeasible", file=sys.stderr)
@@ -161,24 +160,24 @@ def _cmd_solve(ns) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
 
-    both = ns.method == "both"
+    sx_opts, ipm_opts = _options(ns)
     fmt = "json" if ns.json else "human"
     try:
         if ns.method == "simplex":
-            report, solution, rows = _run_simplex(model, ns)
+            report, solution, rows = _run_simplex(model, sx_opts)
             print(write_solution_report(report, fmt, model), end="")
             if ns.trace and rows:
                 write_iteration_trace(rows, _trace_path(ns.trace, "simplex", False))
             return _EXIT_CODES[solution.status.value]
         if ns.method == "affine":
-            report, solution, rows = _run_affine(model, ns)
+            report, solution, rows = _run_affine(model, ipm_opts)
             print(write_solution_report(report, fmt, model), end="")
             if ns.trace and rows:
                 write_iteration_trace(rows, _trace_path(ns.trace, "affine", False))
             return _EXIT_CODES[solution.status.value]
 
-        sx_report, sx_solution, sx_rows = _run_simplex(model, ns)
-        af_report, af_solution, af_rows = _run_affine(model, ns)
+        sx_report, sx_solution, sx_rows = _run_simplex(model, sx_opts)
+        af_report, _, af_rows = _run_affine(model, ipm_opts)
         print(write_report_pair(sx_report, af_report, fmt, model), end="")
         if ns.trace:
             if sx_rows:
@@ -193,9 +192,8 @@ def _cmd_solve(ns) -> int:
 
 def _cmd_lana(ns) -> int:
     model = lana_instance()
-    defaults = argparse.Namespace(alpha=0.5, tol=1e-8, max_iter=None)
-    sx_report, sx_solution, _ = _run_simplex(model, defaults)
-    af_report, _, _ = _run_affine(model, defaults)
+    sx_report, sx_solution, _ = _run_simplex(model, SimplexOptions())
+    af_report, _, _ = _run_affine(model, IpmOptions())
     fmt = "json" if ns.json else "human"
     if fmt == "json":
         print(write_report_pair(sx_report, af_report, "json", model))

@@ -42,12 +42,6 @@ _FLIPPED = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Rel
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Column roles in the equality / Big-M forms.
-STRUCTURAL = "structural"
-SLACK = "slack"
-SURPLUS = "surplus"
-ARTIFICIAL = "artificial"
-
 # Default feasibility tolerance, scaled per row by (1 + |rhs|).
 FEASIBILITY_TOL = 1e-6
 
@@ -224,26 +218,21 @@ def constraint_residuals(model: LPModel, x, tol: float = FEASIBILITY_TOL) -> Res
     return ResidualReport(residuals, feasible, tuple(binding))
 
 
-@dataclass(frozen=True)
-class ColumnKind:
-    """Role of one equality-form column.
-
-    ``index`` is the original variable index for structural columns and the
-    owning row index for slack, surplus and artificial columns.
-    """
-
-    kind: str
-    index: int
-
-
 @dataclass(frozen=True, eq=False)
 class StandardForm:
-    """Equality form A x = b, x >= 0 with the objective in maximize sense."""
+    """Equality form A x = b, x >= 0 with the objective in maximize sense.
+
+    Column j < n_structural is variable j. Column n_structural + k is the
+    slack (+1 on its row, for <=) or surplus (-1, for >=) column of row
+    ``slack_rows[k]``; these columns follow the rows' order, and equality rows
+    have none.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    column_kinds: tuple[ColumnKind, ...]
+    n_structural: int
+    slack_rows: np.ndarray
     negated: bool
 
     @property
@@ -254,10 +243,6 @@ class StandardForm:
     def n_cols(self) -> int:
         return self.a.shape[1]
 
-    @property
-    def n_structural(self) -> int:
-        return sum(1 for k in self.column_kinds if k.kind == STRUCTURAL)
-
 
 def to_equality_form(model: LPModel) -> StandardForm:
     """Append one slack (<=) or surplus (>=) column per inequality row.
@@ -267,39 +252,34 @@ def to_equality_form(model: LPModel) -> StandardForm:
     so downstream code always maximizes.
     """
     n = model.n_vars
-    m = model.n_constraints
-    extra = sum(1 for c in model.constraints if c.relation is not Relation.EQ)
-    total = n + extra
-    a = np.zeros((m, total))
-    b = np.empty(m)
-    kinds = [ColumnKind(STRUCTURAL, j) for j in range(n)]
-    col = n
+    slack_rows = np.array(
+        [i for i, con in enumerate(model.constraints) if con.relation is not Relation.EQ],
+        dtype=int,
+    )
+    total = n + slack_rows.size
+    a = np.zeros((model.n_constraints, total))
+    b = np.empty(model.n_constraints)
     for i, con in enumerate(model.constraints):
         a[i, :n] = con.coeffs
         b[i] = con.rhs
-        if con.relation is Relation.LE:
-            a[i, col] = 1.0
-            kinds.append(ColumnKind(SLACK, i))
-            col += 1
-        elif con.relation is Relation.GE:
-            a[i, col] = -1.0
-            kinds.append(ColumnKind(SURPLUS, i))
-            col += 1
+    signs = [1.0 if model.constraints[i].relation is Relation.LE else -1.0 for i in slack_rows]
+    a[slack_rows, n + np.arange(slack_rows.size)] = signs
     c = np.zeros(total)
     negated = model.sense is Sense.MIN
     c[:n] = -model.objective if negated else model.objective
-    return StandardForm(a, b, c, tuple(kinds), negated)
+    return StandardForm(a, b, c, n, slack_rows, negated)
 
 
 @dataclass(frozen=True, eq=False)
 class BigMForm:
     """Equality form extended with artificial columns for >= and = rows.
 
-    ``a_full`` is the assembled matrix [A | artificial identity block];
-    ``artificial_cols`` lists (column, row) pairs. Column j costs
-    ``c_fin[j] + c_m[j] * M`` for a symbolically infinite penalty M: c_fin is
-    the equality-form cost, zero on the artificials, and c_m is -1 on the
-    artificials and zero elsewhere.
+    ``a_full`` is the assembled matrix [A | artificial identity block]: the
+    columns of ``base`` keep their places and one artificial column per >= or
+    = row follows them, in row order. ``artificial_cols`` lists (column, row)
+    pairs. Column j costs ``c_fin[j] + c_m[j] * M`` for a symbolically
+    infinite penalty M: c_fin is the equality-form cost, zero on the
+    artificials, and c_m is -1 on the artificials and zero elsewhere.
     """
 
     base: StandardForm
@@ -308,21 +288,14 @@ class BigMForm:
     c_fin: np.ndarray
     c_m: np.ndarray
 
-    @property
-    def column_kinds(self) -> tuple[ColumnKind, ...]:
-        return self.base.column_kinds + tuple(
-            ColumnKind(ARTIFICIAL, row) for _, row in self.artificial_cols
-        )
-
     def starting_basis(self) -> tuple[int, ...]:
         """Per row: the slack column for <= rows, the artificial otherwise."""
-        by_row: dict[int, int] = {}
-        for j, kind in enumerate(self.base.column_kinds):
-            if kind.kind == SLACK:
-                by_row[kind.index] = j
+        base = self.base
+        basis = np.empty(base.n_rows, dtype=int)
+        basis[base.slack_rows] = base.n_structural + np.arange(base.slack_rows.size)
         for col, row in self.artificial_cols:
-            by_row[row] = col
-        return tuple(by_row[i] for i in range(self.base.n_rows))
+            basis[row] = col
+        return tuple(basis.tolist())
 
 
 def to_big_m_form(model: LPModel) -> BigMForm:
@@ -366,12 +339,7 @@ class Solution:
 
 def structural_values(form: StandardForm, x_full) -> np.ndarray:
     """Extract the original variables from an equality-form point."""
-    x_full = as_vector(x_full)
-    out = np.zeros(form.n_structural)
-    for j, kind in enumerate(form.column_kinds):
-        if kind.kind == STRUCTURAL:
-            out[kind.index] = x_full[j]
-    return out
+    return as_vector(x_full)[: form.n_structural].copy()
 
 
 def native_objective(form: StandardForm, x_full) -> float:
@@ -386,14 +354,8 @@ def binding_rows(form: StandardForm, x_full, tol: float = FEASIBILITY_TOL) -> tu
     Equality rows are always binding. The per-row tolerance is scaled by
     (1 + |b_row|), matching constraint_residuals.
     """
-    x_full = np.asarray(x_full, dtype=float)
-    slack_col: dict[int, int] = {}
-    for j, kind in enumerate(form.column_kinds):
-        if kind.kind in (SLACK, SURPLUS):
-            slack_col[kind.index] = j
-    out = []
-    for i in range(form.n_rows):
-        j = slack_col.get(i)
-        if j is None or abs(x_full[j]) <= tol * (1.0 + abs(form.b[i])):
-            out.append(i)
-    return tuple(out)
+    rows = form.slack_rows
+    slack = np.asarray(x_full, dtype=float)[form.n_structural :]
+    binding = np.ones(form.n_rows, dtype=bool)
+    binding[rows] = np.abs(slack) <= tol * (1.0 + np.abs(form.b[rows]))
+    return tuple(np.flatnonzero(binding).tolist())

@@ -21,9 +21,9 @@ from .model import (
     LPModel,
     Solution,
     Status,
-    STRUCTURAL,
     constraint_residuals,
     evaluate_objective,
+    structural_values,
     to_big_m_form,
 )
 
@@ -209,12 +209,9 @@ def solve_simplex(
         # without pretending the point means anything.
         return Solution(Status.ITERATION_LIMIT, None, None, pivots, ())
 
-    kinds = form.column_kinds
-    x = np.zeros(model.n_vars)
-    for r, j in enumerate(t.basis):
-        kind = kinds[j]
-        if kind.kind == STRUCTURAL:
-            x[kind.index] = max(0.0, float(t.rhs[r]))
+    x_full = np.zeros(form.a_full.shape[1])
+    x_full[list(t.basis)] = np.where(t.rhs > 0.0, t.rhs, 0.0)
+    x = structural_values(form.base, x_full)
     objective = evaluate_objective(model, x)
     binding = constraint_residuals(model, x).binding
     return Solution(status, x, objective, pivots, binding)

@@ -19,6 +19,30 @@ def rng_for(tag: int) -> np.random.Generator:
     return np.random.default_rng((SEED, tag))
 
 
+def lana_reference() -> LPModel:
+    """The LANA model written out by hand, to check the bundled lana.lp against."""
+    profit = (8.073, 6.398, 3.9965, 5.943, 5.52175, 7.1955)
+    rows = [
+        ("total_min", (1, 1, 1, 1, 1, 1), Relation.GE, 74500),
+        ("total_max", (1, 1, 1, 1, 1, 1), Relation.LE, 130000),
+        ("revenue_min", (29.601, 19.194, 21.5811, 22.923, 21.2375, 19.188),
+         Relation.GE, 1823806.45),
+        ("profit_min", profit, Relation.GE, 467663.125),
+        ("profit_cap", profit, Relation.LE, 765056.25),
+        ("line_a_cap", (0.5, 1, 0.5, 0.25, 0, 0), Relation.LE, 50000),
+        ("line_b_cap", (0.25, 0, 0.25, 0.25, 0.5, 0), Relation.LE, 40000),
+        ("line_c_cap", (0.25, 0, 0.25, 0.5, 0.5, 1), Relation.LE, 40000),
+        ("k1_min", (1, 0, 0, 0, 0, 0), Relation.GE, 11000),
+        ("k2_min", (0, 1, 0, 0, 0, 0), Relation.GE, 2200),
+        ("k3_min", (0, 0, 1, 0, 0, 0), Relation.GE, 8800),
+        ("k4_min", (0, 0, 0, 1, 0, 0), Relation.GE, 2200),
+        ("k5_min", (0, 0, 0, 0, 1, 0), Relation.GE, 4400),
+        ("k6_min", (0, 0, 0, 0, 0, 1), Relation.GE, 2200),
+        ("k6_max", (0, 0, 0, 0, 0, 1), Relation.LE, 6500),
+    ]
+    return build_model(Sense.MAX, ("K1", "K2", "K3", "K4", "K5", "K6"), profit, rows)
+
+
 def random_bounded_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6) -> LPModel:
     """A feasible bounded maximization LP.
 

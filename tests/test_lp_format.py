@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import rng_for, random_bounded_lp
+from conftest import lana_reference, rng_for, random_bounded_lp
 from lpduet import (
     ParseError,
     Relation,
@@ -121,7 +121,8 @@ def test_round_trip_preserves_awkward_floats():
 
 def test_shipped_fixture_matches_builtin_instance():
     text = lana_lp_path().read_text(encoding="utf-8")
-    assert parse_lp_text(text) == lana_instance()
+    assert parse_lp_text(text) == lana_reference()
+    assert lana_instance() == lana_reference()
 
 
 def test_writer_emits_parseable_header():

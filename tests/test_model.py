@@ -18,10 +18,6 @@ from lpduet import (
     to_equality_form,
 )
 from lpduet.model import (
-    ARTIFICIAL,
-    SLACK,
-    STRUCTURAL,
-    SURPLUS,
     binding_rows,
     native_objective,
     structural_values,
@@ -113,21 +109,46 @@ def test_lana_instance_census():
     assert by_name["k6_max"].rhs == 6500.0
 
 
-def test_to_equality_form_column_kinds():
-    form = to_equality_form(lana_instance())
+def test_to_equality_form_column_layout():
+    model = lana_instance()
+    form = to_equality_form(model)
     assert form.a.shape == (15, 21)
-    kinds = [k.kind for k in form.column_kinds]
-    assert kinds.count(STRUCTURAL) == 6
-    assert kinds.count(SLACK) == 6
-    assert kinds.count(SURPLUS) == 9
+    assert form.n_structural == 6
+    npt.assert_array_equal(form.a[:, :6], np.array([c.coeffs for c in model.constraints]))
     assert not form.negated
     assert np.all(form.b >= 0.0)
-    # slack columns carry +1 on their row, surplus columns -1
-    for j, kind in enumerate(form.column_kinds):
-        if kind.kind == SLACK:
-            assert form.a[kind.index, j] == 1.0
-        elif kind.kind == SURPLUS:
-            assert form.a[kind.index, j] == -1.0
+    # one column per inequality row, in row order: +1 for a slack, -1 for a surplus
+    npt.assert_array_equal(form.slack_rows, np.arange(15))
+    signs = form.a[form.slack_rows, 6 + np.arange(15)]
+    assert list(signs).count(1.0) == 6
+    assert list(signs).count(-1.0) == 9
+    for i, sign in zip(form.slack_rows, signs):
+        assert sign == (1.0 if model.constraints[i].relation is Relation.LE else -1.0)
+    # each added column has exactly one nonzero entry
+    assert np.count_nonzero(form.a[:, 6:]) == 15
+
+
+def test_to_equality_form_gives_equality_rows_no_column():
+    m = build_model(
+        Sense.MAX,
+        ("x", "y"),
+        (1.0, 1.0),
+        [
+            ((1.0, 1.0), Relation.EQ, 3.0),
+            ((1.0, 0.0), Relation.GE, 1.0),
+            ((0.0, 1.0), Relation.EQ, 1.0),
+            ((1.0, 2.0), Relation.LE, 9.0),
+        ],
+    )
+    form = to_equality_form(m)
+    assert form.n_structural == 2
+    npt.assert_array_equal(form.slack_rows, [1, 3])
+    npt.assert_array_equal(form.a[:, 2:], [[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    # equality rows stay binding; an inequality row binds when its column is zero
+    assert binding_rows(form, np.array([2.0, 1.0, 1.0, 5.0])) == (0, 2)
+    assert binding_rows(form, np.array([2.0, 1.0, 0.0, 5.0])) == (0, 1, 2)
+    # the >= and = rows start on their artificials (columns 4-6), the <= row on its slack
+    assert to_big_m_form(m).starting_basis() == (4, 5, 6, 3)
 
 
 def test_to_equality_form_negates_minimization():
@@ -139,19 +160,35 @@ def test_to_equality_form_negates_minimization():
 
 def test_equality_form_feasibility_transfer():
     rng = rng_for(21)
+    points = rng_for(22)
     for _ in range(20):
         m = random_bounded_lp(rng)
         form = to_equality_form(m)
         assert form.a.shape == (len(m.constraints), form.n_cols)
         assert form.n_structural == len(m.variable_names)
+        # Reference: read each added column's row off the matrix, row by row.
+        n = form.n_structural
+        owner = {int(np.flatnonzero(form.a[:, j])[0]): j for j in range(n, form.n_cols)}
+        x_full = points.uniform(0.0, 1.0, form.n_cols) * (points.random(form.n_cols) < 0.5)
+        expected = tuple(
+            i
+            for i in range(form.n_rows)
+            if i not in owner or abs(x_full[owner[i]]) <= 1e-6 * (1.0 + abs(form.b[i]))
+        )
+        assert binding_rows(form, x_full) == expected
+        npt.assert_array_equal(structural_values(form, x_full), x_full[:n])
+        bm = to_big_m_form(m)
+        artificial = {row: col for col, row in bm.artificial_cols}
+        assert bm.starting_basis() == tuple(
+            artificial.get(i, owner.get(i)) for i in range(form.n_rows)
+        )
 
 
 def test_to_big_m_form_lana_structure():
     bm = to_big_m_form(lana_instance())
     assert bm.a_full.shape == (15, 30)
     assert len(bm.artificial_cols) == 9
-    kinds = [k.kind for k in bm.column_kinds]
-    assert kinds.count(ARTIFICIAL) == 9
+    assert [col for col, _ in bm.artificial_cols] == list(range(21, 30))
     # artificial objective entries carry the -M penalty
     for col, row in bm.artificial_cols:
         assert bm.c_m[col] == -1.0
