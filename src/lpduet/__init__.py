@@ -20,7 +20,6 @@ from .errors import (
     ZeroPivot,
 )
 from .model import (
-    Constraint,
     LPModel,
     Relation,
     ResidualReport,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasicSolution",
-    "Constraint",
     "DimensionMismatch",
     "EmptyModel",
     "IPM_TRACE_HEADER",

@@ -210,48 +210,22 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
     return x0
 
 
-def _prepare_start(form: StandardForm, x0) -> np.ndarray:
-    """Lift a caller-supplied start off the boundary and re-project it.
-
-    Components at or near zero (vertex warm starts have exactly-zero slacks)
-    are raised to 1e-3 * (1 + |b_row|) before a least-squares snap back onto
-    A x = b. Raises NotInterior when the result is unusable.
-    """
-    x = as_vector(x0).copy()
-    if x.shape[0] != form.n_cols:
-        raise NotInterior(
-            f"start has {x.shape[0]} entries, equality form has {form.n_cols} columns"
-        )
-    floors = np.full(form.n_cols, 1e-3)
-    floors[form.n_structural :] = 1e-3 * (1.0 + np.abs(form.b[form.slack_rows]))
-    x = np.maximum(x, floors)
-    x = _least_squares_snap(form.a, x, form.b)
-    b_norm = float(np.linalg.norm(form.b))
-    if float(x.min()) <= 0.0:
-        raise NotInterior("warm start could not be lifted off the boundary")
-    if float(np.linalg.norm(form.b - form.a @ x)) > EQUALITY_RTOL * (1.0 + b_norm):
-        raise NotInterior("warm start does not satisfy the equality rows")
-    return x
-
-
 def solve_affine(
-    form: StandardForm,
-    x0=None,
-    opts: IpmOptions | None = None,
+    form: StandardForm, opts: IpmOptions | None = None
 ) -> tuple[Solution, list[IpmState]]:
     """Run the affine-scaling iteration on an equality form.
 
-    Starts from ``x0`` (lifted and re-projected if it touches the boundary)
-    or from the phase-1 point. Stops at the first of: scaled step norm below
-    tol, relative objective change below tol, or scaled complementarity below
-    tol (optimal); an unblocked ascent ray (unbounded); or max_iter
-    (iteration limit). Returns the solution plus the full iterate trace.
+    Starts from the phase-1 point of find_interior_point. Stops at the first
+    of: scaled step norm below tol, relative objective change below tol, or
+    scaled complementarity below tol (optimal); an unblocked ascent ray
+    (unbounded); or max_iter (iteration limit). Returns the solution plus the
+    full iterate trace.
     """
     opts = opts or IpmOptions()
     a = form.a
     b = form.b
     c = form.c
-    x = find_interior_point(form, opts) if x0 is None else _prepare_start(form, x0)
+    x = find_interior_point(form, opts)
 
     b_norm = float(np.linalg.norm(b))
     budget = EQUALITY_RTOL * (1.0 + b_norm)

@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .affine import IpmOptions, solve_affine
-from .errors import InfeasibleInterior, LpError, ParseError
+from .errors import InfeasibleInterior, LpError
 from .lp_format import lana_instance, parse_lp_text
 from .model import LPModel, Solution, Status, to_equality_form
 from .reporting import (
@@ -130,7 +130,7 @@ def _run_affine(
     form = to_equality_form(model)
     start = time.perf_counter()
     try:
-        solution, states = solve_affine(form, None, opts)
+        solution, states = solve_affine(form, opts)
         rows = ipm_trace_rows(states, form)
     except InfeasibleInterior as exc:
         print(f"warning: {exc}; reporting infeasible", file=sys.stderr)
@@ -151,12 +151,12 @@ def _cmd_solve(ns) -> int:
     path = Path(ns.file)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return 1
     try:
         model = parse_lp_text(text)
-    except ParseError as exc:
+    except LpError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
 

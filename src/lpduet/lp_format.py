@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError
-from .model import Constraint, LPModel, Relation, Sense, build_model
+from .model import LPModel, Relation, Sense, build_model
 
 _TOKEN_RE = re.compile(
     r"""
@@ -149,7 +149,7 @@ def parse_lp_text(text: str) -> LPModel:
     for _, name in objective_terms:
         var_order.setdefault(name, len(var_order))
 
-    rows: list[tuple[str, list[tuple[float, str]], Relation, float, _Token]] = []
+    rows: list[tuple[str, list[tuple[float, str]], Relation, float]] = []
     seen: set[str] = set()
     while parser.peek().kind != "eof":
         name_tok = parser.expect("ident", "a constraint name")
@@ -171,21 +171,23 @@ def parse_lp_text(text: str) -> LPModel:
         parser.expect("semi", "';' to end the statement")
         for _, var in terms:
             var_order.setdefault(var, len(var_order))
-        rows.append((name_tok.text, terms, Relation(rel_tok.text), rhs, name_tok))
+        rows.append((name_tok.text, terms, Relation(rel_tok.text), rhs))
     if not rows:
         tok = parser.peek()
         raise ParseError("model has no constraints", tok.line, tok.col)
 
     names = tuple(var_order)
     objective = np.zeros(len(names))
-    for coeff, var in objective_terms:
-        objective[var_order[var]] += coeff
     constraints = []
-    for name, terms, relation, rhs, _tok in rows:
-        coeffs = np.zeros(len(names))
-        for coeff, var in terms:
-            coeffs[var_order[var]] += coeff
-        constraints.append(Constraint(name, coeffs, relation, rhs))
+    # A sum that overflows stays infinite, and build_model rejects it.
+    with np.errstate(over="ignore"):
+        for coeff, var in objective_terms:
+            objective[var_order[var]] += coeff
+        for name, terms, relation, rhs in rows:
+            coeffs = np.zeros(len(names))
+            for coeff, var in terms:
+                coeffs[var_order[var]] += coeff
+            constraints.append((name, coeffs, relation, rhs))
     return build_model(sense, names, objective, constraints)
 
 
@@ -211,10 +213,8 @@ def write_lp_text(model: LPModel) -> str:
     """Serialize a model to canonical LP text; parse_lp_text inverts exactly."""
     names = model.variable_names
     lines = [f"{model.sense.value}: {_expr(model.objective, names)};"]
-    for con in model.constraints:
-        lines.append(
-            f"{con.name}: {_expr(con.coeffs, names)} {con.relation.value} {_fmt(con.rhs)};"
-        )
+    for name, coeffs, relation, rhs in zip(model.row_names, model.a, model.relations, model.b):
+        lines.append(f"{name}: {_expr(coeffs, names)} {relation.value} {_fmt(rhs)};")
     return "\n".join(lines) + "\n"
 
 

@@ -47,33 +47,21 @@ FEASIBILITY_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
-class Constraint:
-    """One linear constraint: coeffs . x  (<= | >= | =)  rhs."""
-
-    name: str
-    coeffs: np.ndarray
-    relation: Relation
-    rhs: float
-
-    def __eq__(self, other):
-        if not isinstance(other, Constraint):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.relation is other.relation
-            and self.rhs == other.rhs
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class LPModel:
-    """A validated LP in canonical shape (rhs >= 0, native sense preserved)."""
+    """A validated LP in canonical shape: row i reads a[i] . x  relations[i]  b[i].
+
+    ``a`` is the m x n row matrix, ``b`` the m right-hand sides (all >= 0:
+    rows given with a negative rhs were sign flipped, relation reversed) and
+    ``row_names[i]`` names row i. The objective keeps its native sense.
+    """
 
     sense: Sense
     variable_names: tuple[str, ...]
     objective: np.ndarray
-    constraints: tuple[Constraint, ...]
+    row_names: tuple[str, ...]
+    a: np.ndarray
+    relations: tuple[Relation, ...]
+    b: np.ndarray
 
     @property
     def n_vars(self) -> int:
@@ -81,7 +69,7 @@ class LPModel:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.row_names)
 
     def __eq__(self, other):
         if not isinstance(other, LPModel):
@@ -90,7 +78,10 @@ class LPModel:
             self.sense is other.sense
             and self.variable_names == other.variable_names
             and np.array_equal(self.objective, other.objective)
-            and self.constraints == other.constraints
+            and self.row_names == other.row_names
+            and np.array_equal(self.a, other.a)
+            and self.relations == other.relations
+            and np.array_equal(self.b, other.b)
         )
 
 
@@ -109,10 +100,11 @@ def _coerce_relation(rel) -> Relation:
 def build_model(sense, names, objective, constraints) -> LPModel:
     """Validate and canonicalize a model.
 
-    ``constraints`` is an iterable of Constraint objects or
-    (coeffs, relation, rhs) tuples; unnamed rows get names c1, c2, ...
-    Rows with a negative rhs are multiplied by -1 with the relation flipped,
-    so the stored model always has b >= 0.
+    ``constraints`` is an iterable of (coeffs, relation, rhs) or
+    (name, coeffs, relation, rhs) tuples; unnamed rows get names c1, c2, ...
+    The rows are stacked into one matrix, and rows with a negative rhs are
+    multiplied by -1 with the relation flipped, so the stored model always
+    has b >= 0.
     """
     sense = _coerce_sense(sense)
     names = tuple(str(n) for n in names)
@@ -130,12 +122,12 @@ def build_model(sense, names, objective, constraints) -> LPModel:
             f"objective has {objective.shape[0]} coefficients for {len(names)} variables"
         )
 
-    rows: list[Constraint] = []
-    seen: set[str] = set()
+    row_names: dict[str, None] = {}  # insertion-ordered, O(1) duplicate test
+    rows: list[np.ndarray] = []
+    relations: list[Relation] = []
+    rhs_values: list[float] = []
     for k, item in enumerate(constraints):
-        if isinstance(item, Constraint):
-            name, coeffs, relation, rhs = item.name, item.coeffs, item.relation, item.rhs
-        elif len(item) == 4:
+        if len(item) == 4:
             name, coeffs, relation, rhs = item
         else:
             coeffs, relation, rhs = item
@@ -143,27 +135,30 @@ def build_model(sense, names, objective, constraints) -> LPModel:
         name = str(name)
         if not _NAME_RE.match(name) or name in ("max", "min"):
             raise ValueError(f"invalid constraint name {name!r}")
-        if name in seen:
+        if name in row_names:
             raise ValueError(f"duplicate constraint name {name!r}")
-        seen.add(name)
+        row_names[name] = None
         coeffs = as_vector(coeffs)
         if coeffs.shape[0] != len(names):
             raise DimensionMismatch(
                 f"constraint {name!r} has {coeffs.shape[0]} coefficients "
                 f"for {len(names)} variables"
             )
-        relation = _coerce_relation(relation)
+        rows.append(coeffs)
+        relations.append(_coerce_relation(relation))
         rhs = float(rhs)
         if not np.isfinite(rhs):
             raise NonFiniteInput(f"constraint {name!r} has a non-finite rhs")
-        if rhs < 0.0:
-            coeffs = -coeffs
-            relation = _FLIPPED[relation]
-            rhs = -rhs
-        rows.append(Constraint(name, coeffs, relation, rhs + 0.0))
+        rhs_values.append(rhs)
     if not rows:
         raise EmptyModel("model has no constraints")
-    return LPModel(sense, names, objective, tuple(rows))
+    a = np.array(rows)
+    b = np.array(rhs_values)
+    flip = b < 0.0
+    a[flip] = -a[flip]
+    # abs also turns a -0.0 rhs into 0.0
+    relations = [_FLIPPED[rel] if f else rel for rel, f in zip(relations, flip)]
+    return LPModel(sense, names, objective, tuple(row_names), a, tuple(relations), np.abs(b))
 
 
 def evaluate_objective(model: LPModel, x) -> float:
@@ -195,27 +190,16 @@ def constraint_residuals(model: LPModel, x, tol: float = FEASIBILITY_TOL) -> Res
         raise DimensionMismatch(
             f"point has {x.shape[0]} entries for {model.n_vars} variables"
         )
-    residuals = np.empty(model.n_constraints)
-    feasible = bool(np.all(x >= -tol))
-    binding: list[int] = []
-    for i, con in enumerate(model.constraints):
-        lhs = float(con.coeffs @ x)
-        if con.relation is Relation.LE:
-            r = con.rhs - lhs
-        elif con.relation is Relation.GE:
-            r = lhs - con.rhs
-        else:
-            r = abs(lhs - con.rhs)
-        residuals[i] = r
-        row_tol = tol * (1.0 + abs(con.rhs))
-        if con.relation is Relation.EQ:
-            if r > row_tol:
-                feasible = False
-        elif r < -row_tol:
-            feasible = False
-        if abs(r) <= row_tol:
-            binding.append(i)
-    return ResidualReport(residuals, feasible, tuple(binding))
+    relations = np.array(model.relations)
+    gap = model.a @ x - model.b
+    residuals = np.where(
+        relations == Relation.LE, -gap, np.where(relations == Relation.GE, gap, np.abs(gap))
+    )
+    row_tol = tol * (1.0 + model.b)
+    satisfied = np.where(relations == Relation.EQ, residuals <= row_tol, residuals >= -row_tol)
+    feasible = bool(np.all(x >= -tol) and np.all(satisfied))
+    binding = np.flatnonzero(np.abs(residuals) <= row_tol)
+    return ResidualReport(residuals, feasible, tuple(binding.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,22 +236,16 @@ def to_equality_form(model: LPModel) -> StandardForm:
     so downstream code always maximizes.
     """
     n = model.n_vars
-    slack_rows = np.array(
-        [i for i, con in enumerate(model.constraints) if con.relation is not Relation.EQ],
-        dtype=int,
-    )
-    total = n + slack_rows.size
-    a = np.zeros((model.n_constraints, total))
-    b = np.empty(model.n_constraints)
-    for i, con in enumerate(model.constraints):
-        a[i, :n] = con.coeffs
-        b[i] = con.rhs
-    signs = [1.0 if model.constraints[i].relation is Relation.LE else -1.0 for i in slack_rows]
+    relations = np.array(model.relations)
+    slack_rows = np.flatnonzero(relations != Relation.EQ)
+    a = np.zeros((model.n_constraints, n + slack_rows.size))
+    a[:, :n] = model.a
+    signs = np.where(relations[slack_rows] == Relation.LE, 1.0, -1.0)
     a[slack_rows, n + np.arange(slack_rows.size)] = signs
-    c = np.zeros(total)
+    c = np.zeros(a.shape[1])
     negated = model.sense is Sense.MIN
     c[:n] = -model.objective if negated else model.objective
-    return StandardForm(a, b, c, n, slack_rows, negated)
+    return StandardForm(a, model.b.copy(), c, n, slack_rows, negated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,9 +284,7 @@ def to_big_m_form(model: LPModel) -> BigMForm:
     submatrix, giving the simplex engine its starting basis.
     """
     base = to_equality_form(model)
-    art_rows = [
-        i for i, con in enumerate(model.constraints) if con.relation is not Relation.LE
-    ]
+    art_rows = [i for i, rel in enumerate(model.relations) if rel is not Relation.LE]
     m, n0 = base.a.shape
     a_full = np.zeros((m, n0 + len(art_rows)))
     a_full[:, :n0] = base.a

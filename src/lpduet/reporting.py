@@ -51,7 +51,7 @@ def build_report(method: str, model: LPModel, solution: Solution, wall_time_ms: 
         variables = tuple(
             (name, float(solution.x[j])) for j, name in enumerate(model.variable_names)
         )
-    binding = tuple(model.constraints[i].name for i in solution.binding)
+    binding = tuple(model.row_names[i] for i in solution.binding)
     return SolveReport(
         method=method,
         status=solution.status.value,
@@ -80,10 +80,10 @@ def report_as_dict(report: SolveReport) -> dict:
 def _lower_bound_note(model: LPModel | None, var_index: int, value: float) -> str:
     if model is None:
         return "-"
-    for con in model.constraints:
-        nz = np.nonzero(con.coeffs)[0]
-        if con.relation is Relation.GE and len(nz) == 1 and nz[0] == var_index:
-            bound = con.rhs / con.coeffs[var_index]
+    for row, relation, rhs in zip(model.a, model.relations, model.b):
+        nz = np.nonzero(row)[0]
+        if relation is Relation.GE and len(nz) == 1 and nz[0] == var_index:
+            bound = rhs / row[var_index]
             state = "binding" if abs(value - bound) <= 1e-6 * (1.0 + abs(bound)) else "above"
             return f">= {bound:g} ({state})"
     return "-"

@@ -98,11 +98,14 @@ def test_criterion_3_lana_affine_interior_path():
     # Published interior-point profits for this model exceed the profit cap,
     # whose coefficient row equals the objective row, so no feasible point
     # can attain them; the engine must not reproduce those figures.
-    cap = next(c for c in lana_instance().constraints if c.name == "profit_cap")
-    np.testing.assert_array_equal(cap.coeffs, lana_instance().objective)
+    model = lana_instance()
+    cap = model.row_names.index("profit_cap")
+    assert model.relations[cap] is Relation.LE
+    np.testing.assert_array_equal(model.a[cap], model.objective)
+    cap_rhs = model.b[cap]
     for reported in (765289.9244, 765121.8775):
-        ok = ok and reported > cap.rhs + 1.0
-    ok = ok and sol.objective <= cap.rhs + 1e-4 * (1.0 + cap.rhs)
+        ok = ok and reported > cap_rhs + 1.0
+    ok = ok and sol.objective <= cap_rhs + 1e-4 * (1.0 + cap_rhs)
     _verdict(3, "affine engine reaches the feasible optimum interiorly", ok)
 
 

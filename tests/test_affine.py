@@ -8,7 +8,6 @@ from conftest import rng_for, random_bounded_lp
 from lpduet import (
     InfeasibleInterior,
     IpmOptions,
-    NotInterior,
     Relation,
     Sense,
     Status,
@@ -152,26 +151,6 @@ def test_solve_affine_ascent_is_monotone():
     objs = [s.objective for s in states]
     for prev, cur in zip(objs, objs[1:]):
         assert cur >= prev - 1e-9 * (1.0 + abs(prev))
-
-
-def test_solve_affine_warm_start():
-    form = toy_form()
-    # the optimal vertex has zero slacks; the engine must lift it inward
-    vertex = np.array([2.0, 2.0, 0.0, 0.0])
-    sol, states = solve_affine(form, x0=vertex)
-    assert sol.status is Status.OPTIMAL
-    npt.assert_allclose(sol.objective, 10.0, rtol=1e-6)
-    assert states[0].x.min() > 0.0
-
-
-def test_solve_affine_rejects_bad_starts():
-    m = build_model(Sense.MAX, ("x", "y"), (1.0, 0.0), [((1.0, 1.0), Relation.EQ, 1.0)])
-    form = to_equality_form(m)
-    with pytest.raises(NotInterior):
-        solve_affine(form, x0=np.array([1.0, 2.0, 3.0]))  # wrong length
-    with pytest.raises(NotInterior):
-        # snapping this start onto x + y = 1 drives the first entry negative
-        solve_affine(form, x0=np.array([100.0, 200.0]))
 
 
 def test_solve_affine_unbounded():

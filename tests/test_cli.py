@@ -82,6 +82,25 @@ def test_parse_error_reports_position(tmp_path, capsys):
     assert "line 2, column 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"max: x;\nc: x <= 1e999;\n",  # rhs overflows to inf
+        b"max: x;\nc: x - 1e308 y - 1e308 y <= 1;\n",  # terms sum to -inf
+        b"\xff\xfemax: x;\nc: x <= 1;\n",  # not UTF-8
+    ],
+    ids=["infinite-rhs", "infinite-coefficient-sum", "not-utf8"],
+)
+@pytest.mark.filterwarnings("error")  # a warning would print ahead of "error:"
+def test_bad_file_is_an_error_not_a_traceback(tmp_path, capsys, content):
+    path = tmp_path / "bad.lp"
+    path.write_bytes(content)
+    assert run_cli(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run_cli([]) == 1
     assert run_cli(["solve"]) == 1

@@ -22,9 +22,9 @@ def test_parse_minimal_model():
     assert m.sense is Sense.MAX
     assert m.variable_names == ("x", "y")
     npt.assert_array_equal(m.objective, np.array([3.0, 2.0]))
-    assert m.constraints[0].name == "cap"
-    assert m.constraints[0].relation is Relation.LE
-    assert m.constraints[0].rhs == 4.0
+    assert m.row_names == ("cap", "wall")
+    assert m.relations[0] is Relation.LE
+    assert m.b[0] == 4.0
 
 
 def test_parse_accepts_comments_stars_and_signs():
@@ -37,11 +37,11 @@ pin: 2x + 0.5y = 3;
     assert m.sense is Sense.MIN
     npt.assert_array_equal(m.objective, np.array([-1.0, 2.5]))
     # negative rhs rows are flipped at build time
-    low = m.constraints[0]
-    assert low.relation is Relation.LE
-    assert low.rhs == 1.0
-    npt.assert_array_equal(low.coeffs, np.array([-1.0, 1.0]))
-    assert m.constraints[1].relation is Relation.EQ
+    assert m.row_names[0] == "low"
+    assert m.relations[0] is Relation.LE
+    assert m.b[0] == 1.0
+    npt.assert_array_equal(m.a[0], np.array([-1.0, 1.0]))
+    assert m.relations[1] is Relation.EQ
 
 
 def test_parse_default_coefficient_and_accumulation():
@@ -49,7 +49,7 @@ def test_parse_default_coefficient_and_accumulation():
     npt.assert_array_equal(m.objective, np.array([2.0, 1.0]))
     # variable order follows first appearance in the text
     assert m.variable_names == ("x", "y")
-    npt.assert_array_equal(m.constraints[0].coeffs, np.array([1.0, 1.0]))
+    npt.assert_array_equal(m.a[0], np.array([1.0, 1.0]))
 
 
 def test_parse_variable_only_in_constraint():

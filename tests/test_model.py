@@ -15,6 +15,7 @@ from lpduet import (
     constraint_residuals,
     evaluate_objective,
     lana_instance,
+    solve_simplex,
     to_equality_form,
 )
 from lpduet.model import (
@@ -41,7 +42,10 @@ def test_build_model_shapes_and_names():
     m = toy_model()
     assert m.sense is Sense.MAX
     assert m.variable_names == ("x", "y")
-    assert len(m.constraints) == 2
+    assert m.n_constraints == 2
+    assert m.row_names == ("c1", "c2")
+    assert m.a.shape == (2, 2)
+    assert m.b.shape == (2,)
     npt.assert_array_equal(m.objective, np.array([3.0, 2.0]))
 
 
@@ -52,10 +56,9 @@ def test_build_model_flips_negative_rhs():
         (1.0,),
         [((2.0,), Relation.LE, -4.0)],
     )
-    row = m.constraints[0]
-    assert row.rhs == 4.0
-    assert row.relation is Relation.GE
-    npt.assert_array_equal(row.coeffs, np.array([-2.0]))
+    assert m.b[0] == 4.0
+    assert m.relations[0] is Relation.GE
+    npt.assert_array_equal(m.a[0], np.array([-2.0]))
 
 
 def test_build_model_rejects_bad_input():
@@ -73,6 +76,19 @@ def test_build_model_rejects_bad_input():
         build_model(Sense.MAX, ("x", "x"), (1.0, 2.0), [((1.0, 1.0), Relation.LE, 1.0)])
     with pytest.raises(ValueError):
         build_model(Sense.MAX, ("2bad",), (1.0,), [((1.0,), Relation.LE, 1.0)])
+    with pytest.raises(NonFiniteInput):
+        build_model(Sense.MAX, ("x", "y"), (1.0, 1.0), [((1.0, np.nan), Relation.LE, 1.0)])
+    with pytest.raises(NonFiniteInput, match="'cap' has a non-finite rhs"):
+        build_model(Sense.MAX, ("x",), (1.0,), [("cap", (1.0,), Relation.LE, np.inf)])
+    with pytest.raises(ValueError, match="duplicate constraint name 'cap'"):
+        build_model(
+            Sense.MAX,
+            ("x",),
+            (1.0,),
+            [("cap", (1.0,), Relation.LE, 1.0), ("cap", (2.0,), Relation.LE, 3.0)],
+        )
+    with pytest.raises(ValueError, match="invalid constraint name 'max'"):
+        build_model(Sense.MAX, ("x",), (1.0,), [("max", (1.0,), Relation.LE, 1.0)])
 
 
 def test_model_equality_is_structural():
@@ -95,18 +111,18 @@ def test_lana_instance_census():
     m = lana_instance()
     assert m.sense is Sense.MAX
     assert len(m.variable_names) == 6
-    assert len(m.constraints) == 15
-    relations = [c.relation for c in m.constraints]
-    assert relations.count(Relation.GE) == 9
-    assert relations.count(Relation.LE) == 6
-    assert relations.count(Relation.EQ) == 0
+    assert m.n_constraints == 15
+    assert m.a.shape == (15, 6)
+    assert m.relations.count(Relation.GE) == 9
+    assert m.relations.count(Relation.LE) == 6
+    assert m.relations.count(Relation.EQ) == 0
     npt.assert_array_equal(
         m.objective, np.array([8.073, 6.398, 3.9965, 5.943, 5.52175, 7.1955])
     )
-    by_name = {c.name: c for c in m.constraints}
-    assert by_name["profit_cap"].rhs == 765056.25
-    npt.assert_array_equal(by_name["profit_cap"].coeffs, m.objective)
-    assert by_name["k6_max"].rhs == 6500.0
+    cap = m.row_names.index("profit_cap")
+    assert m.b[cap] == 765056.25
+    npt.assert_array_equal(m.a[cap], m.objective)
+    assert m.b[m.row_names.index("k6_max")] == 6500.0
 
 
 def test_to_equality_form_column_layout():
@@ -114,7 +130,7 @@ def test_to_equality_form_column_layout():
     form = to_equality_form(model)
     assert form.a.shape == (15, 21)
     assert form.n_structural == 6
-    npt.assert_array_equal(form.a[:, :6], np.array([c.coeffs for c in model.constraints]))
+    npt.assert_array_equal(form.a[:, :6], model.a)
     assert not form.negated
     assert np.all(form.b >= 0.0)
     # one column per inequality row, in row order: +1 for a slack, -1 for a surplus
@@ -123,7 +139,7 @@ def test_to_equality_form_column_layout():
     assert list(signs).count(1.0) == 6
     assert list(signs).count(-1.0) == 9
     for i, sign in zip(form.slack_rows, signs):
-        assert sign == (1.0 if model.constraints[i].relation is Relation.LE else -1.0)
+        assert sign == (1.0 if model.relations[i] is Relation.LE else -1.0)
     # each added column has exactly one nonzero entry
     assert np.count_nonzero(form.a[:, 6:]) == 15
 
@@ -164,7 +180,7 @@ def test_equality_form_feasibility_transfer():
     for _ in range(20):
         m = random_bounded_lp(rng)
         form = to_equality_form(m)
-        assert form.a.shape == (len(m.constraints), form.n_cols)
+        assert form.a.shape == (m.n_constraints, form.n_cols)
         assert form.n_structural == len(m.variable_names)
         # Reference: read each added column's row off the matrix, row by row.
         n = form.n_structural
@@ -233,6 +249,53 @@ def test_constraint_residuals_equality_row():
     assert 0 in on.binding
     off = constraint_residuals(m, np.array([1.0, 0.5]))
     assert not off.feasible
+
+
+def _residuals_row_by_row(model, x, tol=1e-6):
+    residuals, feasible, binding = [], bool(np.all(x >= -tol)), []
+    for i in range(model.n_constraints):
+        lhs = float(model.a[i] @ x)
+        rhs = float(model.b[i])
+        relation = model.relations[i]
+        if relation is Relation.LE:
+            r = rhs - lhs
+        elif relation is Relation.GE:
+            r = lhs - rhs
+        else:
+            r = abs(lhs - rhs)
+        row_tol = tol * (1.0 + abs(rhs))
+        if (r > row_tol) if relation is Relation.EQ else (r < -row_tol):
+            feasible = False
+        if abs(r) <= row_tol:
+            binding.append(i)
+        residuals.append(r)
+    return np.array(residuals), feasible, tuple(binding)
+
+
+def test_constraint_residuals_matches_row_by_row_reference():
+    rng = rng_for(23)
+    points = rng_for(24)
+    checked = 0
+    while checked < 20:
+        m = random_bounded_lp(rng)
+        if Relation.EQ not in m.relations:
+            continue
+        checked += 1
+        vertex = solve_simplex(m).x
+        candidates = [
+            vertex,  # feasible, with its binding rows
+            vertex + points.uniform(-1e-9, 1e-9, m.n_vars),  # still within tolerance
+            vertex + points.uniform(-1.0, 1.0, m.n_vars),  # off the equality rows
+            -vertex - 1.0,  # negative entries
+        ]
+        for x in candidates:
+            expected, feasible, binding = _residuals_row_by_row(m, x)
+            report = constraint_residuals(m, x)
+            npt.assert_allclose(report.residuals, expected, rtol=0.0, atol=1e-12)
+            assert report.feasible == feasible
+            assert report.binding == binding
+        assert constraint_residuals(m, vertex).feasible
+        assert not constraint_residuals(m, candidates[3]).feasible
 
 
 def test_structural_values_and_native_objective():
