@@ -162,23 +162,24 @@ def _cmd_solve(ns) -> int:
 
     sx_opts, ipm_opts = _options(ns)
     fmt = "json" if ns.json else "human"
+    end = "\n" if ns.json else ""  # human reports already end in a newline
     try:
         if ns.method == "simplex":
             report, solution, rows = _run_simplex(model, sx_opts)
-            print(write_solution_report(report, fmt, model), end="")
+            print(write_solution_report(report, fmt, model), end=end)
             if ns.trace and rows:
                 write_iteration_trace(rows, _trace_path(ns.trace, "simplex", False))
             return _EXIT_CODES[solution.status.value]
         if ns.method == "affine":
             report, solution, rows = _run_affine(model, ipm_opts)
-            print(write_solution_report(report, fmt, model), end="")
+            print(write_solution_report(report, fmt, model), end=end)
             if ns.trace and rows:
                 write_iteration_trace(rows, _trace_path(ns.trace, "affine", False))
             return _EXIT_CODES[solution.status.value]
 
         sx_report, sx_solution, sx_rows = _run_simplex(model, sx_opts)
         af_report, _, af_rows = _run_affine(model, ipm_opts)
-        print(write_report_pair(sx_report, af_report, fmt, model), end="")
+        print(write_report_pair(sx_report, af_report, fmt, model), end=end)
         if ns.trace:
             if sx_rows:
                 write_iteration_trace(sx_rows, _trace_path(ns.trace, "simplex", True))

@@ -4,146 +4,121 @@ Grammar (statements end with ';', '#' comments run to end of line):
 
     file       := objective constraint*
     objective  := ("max" | "min") ":" expr ";"
-    constraint := NAME ":" expr ("<=" | ">=" | "=") NUMBER ";"
+    constraint := NAME ":" expr ("<=" | ">=" | "=") ["+"|"-"] NUMBER ";"
     expr       := ["+"|"-"] term (("+"|"-") term)*
     term       := NUMBER ["*"] IDENT | IDENT
 
+Whitespace between tokens is space, tab, CR and LF only, so CRLF files parse.
 Identifiers match [A-Za-z_][A-Za-z0-9_]*; numbers are plain decimals with an
-optional exponent, no thousands separators. A bare identifier means
-coefficient 1. Variables are collected in first-appearance order, objective
-first. The writer emits a canonical dense form (every variable in every row,
-coefficients as exact shortest float representations) so parse(write(m))
-reproduces m exactly.
+optional exponent, no thousands separators. A ParseError starts its message
+with the 1-based position "line L, column C"; only LF starts a new line.
+A bare identifier means coefficient 1. Variables are collected in
+first-appearance order, objective first. The writer emits a canonical dense
+form (every variable in every row, coefficients as exact shortest float
+representations) so parse(write(m)) reproduces m exactly, except that a
+-0.0 coefficient reads back as 0.0.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import math
 import re
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError
 from .model import LPModel, Relation, Sense, build_model
 
+# One match per token: the whitespace (space, tab, CR, LF only) and comments
+# in front of it, then the token itself as the named group. "eof" matches at
+# the end of the text; "bad" takes any character no other kind accepts.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<skip>[ \t\r]+|\#[^\n]*)
-    | (?P<nl>\n)
-    | (?P<number>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?:
+      (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<rel><=|>=|=)
     | (?P<sign>[+-])
     | (?P<star>\*)
     | (?P<colon>:)
     | (?P<semi>;)
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+_SIGN = {"+": 1.0, "-": -1.0}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+def _error(text: str, pos: int, message: str) -> ParseError:
+    """A ParseError at offset pos, with its 1-based line and column."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Kind, text and start offset of every token, up to and including "eof"."""
+    kinds, texts, starts = [], [], []
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = match.end()
-        elif kind != "skip":
-            tokens.append(_Token(kind, match.group(), line, pos - line_start + 1))
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.line, tok.col)
-        return self.advance()
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def parse_expr(self) -> list[tuple[float, str]]:
-        terms: list[tuple[float, str]] = []
-        first = True
-        while True:
-            sign = 1.0
-            tok = self.peek()
-            if tok.kind == "sign":
-                sign = -1.0 if tok.text == "-" else 1.0
-                self.advance()
-            elif not first:
-                break
-            tok = self.peek()
-            if tok.kind == "number":
-                coeff = float(self.advance().text)
-                if self.peek().kind == "star":
-                    self.advance()
-                name_tok = self.expect("ident", "a variable name after the coefficient")
-                terms.append((sign * coeff, name_tok.text))
-            elif tok.kind == "ident":
-                terms.append((sign, self.advance().text))
-            else:
-                self.fail("expected a term (coefficient and/or variable)")
-            first = False
-            if self.peek().kind != "sign":
-                break
-        if not terms:
-            self.fail("empty expression")
-        return terms
-
-    def parse_signed_number(self) -> float:
-        sign = 1.0
-        if self.peek().kind == "sign":
-            sign = -1.0 if self.advance().text == "-" else 1.0
-        tok = self.expect("number", "a number")
-        return sign * float(tok.text)
+        start = match.start(kind)
+        if kind == "bad":
+            raise _error(text, start, f"unexpected character {text[start]!r}")
+        kinds.append(kind)
+        texts.append(match[kind])
+        starts.append(start)
+        if kind == "eof":
+            break
+    return kinds, texts, starts
 
 
 def parse_lp_text(text: str) -> LPModel:
     """Parse LP text into a validated model. Raises ParseError with position."""
-    parser = _Parser(_tokenize(text))
+    kinds, texts, starts = _scan(text)
 
-    head = parser.expect("ident", "'max' or 'min' at the start of the model")
-    if head.text not in ("max", "min"):
-        raise ParseError("model must start with 'max:' or 'min:'", head.line, head.col)
-    sense = Sense.MAX if head.text == "max" else Sense.MIN
-    parser.expect("colon", "':' after the objective sense")
-    objective_terms = parser.parse_expr()
-    parser.expect("semi", "';' to end the statement")
+    def fail(i: int, message: str):
+        raise _error(text, starts[i], message)
+
+    def expect(i: int, kind: str, what: str) -> str:
+        if kinds[i] != kind:
+            fail(i, f"expected {what}")
+        return texts[i]
+
+    def expr(i: int) -> tuple[list[tuple[float, str]], int]:
+        """The terms of the expression at token i, and the index after it."""
+        terms: list[tuple[float, str]] = []
+        while True:
+            sign = 1.0
+            if kinds[i] == "sign":
+                sign = _SIGN[texts[i]]
+                i += 1
+            elif terms:
+                return terms, i
+            kind = kinds[i]
+            if kind == "number":
+                coeff = sign * float(texts[i])
+                i += 1
+                if kinds[i] == "star":
+                    i += 1
+                terms.append((coeff, expect(i, "ident", "a variable name after the coefficient")))
+            elif kind == "ident":
+                terms.append((sign, texts[i]))
+            else:
+                fail(i, "expected a term (coefficient and/or variable)")
+            i += 1
+
+    head = expect(0, "ident", "'max' or 'min' at the start of the model")
+    if head not in ("max", "min"):
+        fail(0, "model must start with 'max:' or 'min:'")
+    sense = Sense.MAX if head == "max" else Sense.MIN
+    expect(1, "colon", "':' after the objective sense")
+    objective_terms, i = expr(2)
+    expect(i, "semi", "';' to end the statement")
+    i += 1
 
     var_order: dict[str, int] = {}
     for _, name in objective_terms:
@@ -151,30 +126,29 @@ def parse_lp_text(text: str) -> LPModel:
 
     rows: list[tuple[str, list[tuple[float, str]], Relation, float]] = []
     seen: set[str] = set()
-    while parser.peek().kind != "eof":
-        name_tok = parser.expect("ident", "a constraint name")
-        if name_tok.text in ("max", "min"):
-            raise ParseError(
-                "objective is already defined; 'max'/'min' cannot name a constraint",
-                name_tok.line,
-                name_tok.col,
-            )
-        if name_tok.text in seen:
-            raise ParseError(
-                f"duplicate constraint name {name_tok.text!r}", name_tok.line, name_tok.col
-            )
-        seen.add(name_tok.text)
-        parser.expect("colon", "':' after the constraint name")
-        terms = parser.parse_expr()
-        rel_tok = parser.expect("rel", "a relation ('<=', '>=' or '=')")
-        rhs = parser.parse_signed_number()
-        parser.expect("semi", "';' to end the statement")
+    while kinds[i] != "eof":
+        name = expect(i, "ident", "a constraint name")
+        if name in ("max", "min"):
+            fail(i, "objective is already defined; 'max'/'min' cannot name a constraint")
+        if name in seen:
+            fail(i, f"duplicate constraint name {name!r}")
+        seen.add(name)
+        expect(i + 1, "colon", "':' after the constraint name")
+        terms, i = expr(i + 2)
+        relation = Relation(expect(i, "rel", "a relation ('<=', '>=' or '=')"))
+        i += 1
+        sign = 1.0
+        if kinds[i] == "sign":
+            sign = _SIGN[texts[i]]
+            i += 1
+        rhs = sign * float(expect(i, "number", "a number"))
+        expect(i + 1, "semi", "';' to end the statement")
+        i += 2
         for _, var in terms:
             var_order.setdefault(var, len(var_order))
-        rows.append((name_tok.text, terms, Relation(rel_tok.text), rhs))
+        rows.append((name, terms, relation, rhs))
     if not rows:
-        tok = parser.peek()
-        raise ParseError("model has no constraints", tok.line, tok.col)
+        fail(i, "model has no constraints")
 
     names = tuple(var_order)
     objective = np.zeros(len(names))
@@ -200,9 +174,11 @@ def _expr(coeffs, names) -> str:
     parts = []
     for j, name in enumerate(names):
         coeff = float(coeffs[j])
+        # The sign bit, not coeff < 0: a flipped row can hold -0.0, and "+ -0.0" does not parse.
+        negative = math.copysign(1.0, coeff) < 0
         if not parts:
-            parts.append(f"-{_fmt(-coeff)} {name}" if coeff < 0 else f"{_fmt(coeff)} {name}")
-        elif coeff < 0:
+            parts.append(f"-{_fmt(-coeff)} {name}" if negative else f"{_fmt(coeff)} {name}")
+        elif negative:
             parts.append(f"- {_fmt(-coeff)} {name}")
         else:
             parts.append(f"+ {_fmt(coeff)} {name}")

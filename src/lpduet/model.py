@@ -97,6 +97,13 @@ def _coerce_relation(rel) -> Relation:
     return Relation(str(rel))
 
 
+def _coefficients(values, owner: str) -> np.ndarray:
+    try:
+        return as_vector(values)
+    except NonFiniteInput:
+        raise NonFiniteInput(f"{owner} has a non-finite coefficient") from None
+
+
 def build_model(sense, names, objective, constraints) -> LPModel:
     """Validate and canonicalize a model.
 
@@ -116,7 +123,7 @@ def build_model(sense, names, objective, constraints) -> LPModel:
     if len(set(names)) != len(names):
         raise ValueError("variable names are not unique")
 
-    objective = as_vector(objective)
+    objective = _coefficients(objective, "objective")
     if objective.shape[0] != len(names):
         raise DimensionMismatch(
             f"objective has {objective.shape[0]} coefficients for {len(names)} variables"
@@ -138,7 +145,7 @@ def build_model(sense, names, objective, constraints) -> LPModel:
         if name in row_names:
             raise ValueError(f"duplicate constraint name {name!r}")
         row_names[name] = None
-        coeffs = as_vector(coeffs)
+        coeffs = _coefficients(coeffs, f"constraint {name!r}")
         if coeffs.shape[0] != len(names):
             raise DimensionMismatch(
                 f"constraint {name!r} has {coeffs.shape[0]} coefficients "

@@ -24,7 +24,9 @@ def write(tmp_path, text):
 def test_solve_simplex_json(tmp_path, capsys):
     code = run_cli(["solve", write(tmp_path, TOY), "--method", "simplex", "--json"])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.endswith("}\n")
+    report = json.loads(out)
     assert report["method"] == "simplex"
     assert report["status"] == "optimal"
     assert report["objective"] == pytest.approx(10.0)
@@ -37,7 +39,9 @@ def test_solve_simplex_json(tmp_path, capsys):
 def test_solve_defaults_to_both_methods(tmp_path, capsys):
     code = run_cli(["solve", write(tmp_path, TOY), "--json"])
     assert code == 0
-    reports = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.endswith("]\n")
+    reports = json.loads(out)
     assert [r["method"] for r in reports] == ["simplex", "affine"]
     assert reports[1]["objective"] == pytest.approx(10.0, rel=1e-5)
 
@@ -53,7 +57,9 @@ def test_solve_human_output_mentions_binding_rows(tmp_path, capsys):
 def test_solve_shipped_lana_file(capsys):
     code = run_cli(["solve", str(lana_lp_path()), "--method", "simplex", "--json"])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.endswith("}\n")
+    report = json.loads(out)
     assert report["objective"] == pytest.approx(765056.25, rel=1e-9)
 
 
@@ -83,21 +89,24 @@ def test_parse_error_reports_position(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, says",
     [
-        b"max: x;\nc: x <= 1e999;\n",  # rhs overflows to inf
-        b"max: x;\nc: x - 1e308 y - 1e308 y <= 1;\n",  # terms sum to -inf
-        b"\xff\xfemax: x;\nc: x <= 1;\n",  # not UTF-8
+        # rhs overflows to inf
+        (b"max: x;\nc: x <= 1e999;\n", "constraint 'c' has a non-finite rhs"),
+        # terms sum to -inf
+        (b"max: x;\nc: x - 1e308 y - 1e308 y <= 1;\n", "constraint 'c' has a non-finite coefficient"),
+        (b"\xff\xfemax: x;\nc: x <= 1;\n", "cannot read"),  # not UTF-8
     ],
     ids=["infinite-rhs", "infinite-coefficient-sum", "not-utf8"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print ahead of "error:"
-def test_bad_file_is_an_error_not_a_traceback(tmp_path, capsys, content):
+def test_bad_file_is_an_error_not_a_traceback(tmp_path, capsys, content, says):
     path = tmp_path / "bad.lp"
     path.write_bytes(content)
     assert run_cli(["solve", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert says in err
     assert "Traceback" not in err
 
 
@@ -191,7 +200,9 @@ def test_lana_subcommand(capsys):
 def test_lana_subcommand_json(capsys):
     code = run_cli(["lana", "--json"])
     assert code == 0
-    reports = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.endswith("]\n")
+    reports = json.loads(out)
     assert [r["method"] for r in reports] == ["simplex", "affine"]
     assert reports[0]["objective"] == pytest.approx(765056.25, rel=1e-9)
     assert reports[1]["objective"] == pytest.approx(765056.25, rel=1e-4)
@@ -208,4 +219,5 @@ def test_python_m_lpduet_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+    assert proc.stdout.endswith("}\n")
     assert json.loads(proc.stdout)["objective"] == pytest.approx(765056.25, rel=1e-9)

@@ -70,13 +70,13 @@ def test_build_model_rejects_bad_input():
         build_model(Sense.MAX, ("x",), (1.0, 2.0), [((1.0,), Relation.LE, 1.0)])
     with pytest.raises(DimensionMismatch):
         build_model(Sense.MAX, ("x",), (1.0,), [((1.0, 2.0), Relation.LE, 1.0)])
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(NonFiniteInput, match="^objective has a non-finite coefficient$"):
         build_model(Sense.MAX, ("x",), (np.nan,), [((1.0,), Relation.LE, 1.0)])
     with pytest.raises(ValueError):
         build_model(Sense.MAX, ("x", "x"), (1.0, 2.0), [((1.0, 1.0), Relation.LE, 1.0)])
     with pytest.raises(ValueError):
         build_model(Sense.MAX, ("2bad",), (1.0,), [((1.0,), Relation.LE, 1.0)])
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(NonFiniteInput, match="^constraint 'c1' has a non-finite coefficient$"):
         build_model(Sense.MAX, ("x", "y"), (1.0, 1.0), [((1.0, np.nan), Relation.LE, 1.0)])
     with pytest.raises(NonFiniteInput, match="'cap' has a non-finite rhs"):
         build_model(Sense.MAX, ("x",), (1.0,), [("cap", (1.0,), Relation.LE, np.inf)])
