@@ -46,11 +46,8 @@ from .lp_format import lana_instance, lana_lp_path, parse_lp_text, write_lp_text
 from .reporting import (
     IPM_TRACE_HEADER,
     SIMPLEX_TRACE_HEADER,
-    SolveReport,
-    TraceRow,
     build_report,
     ipm_trace_rows,
-    report_as_dict,
     write_iteration_trace,
     write_report_pair,
     write_solution_report,
@@ -80,11 +77,9 @@ __all__ = [
     "Sense",
     "SimplexOptions",
     "Solution",
-    "SolveReport",
     "StandardForm",
     "Status",
     "TooLarge",
-    "TraceRow",
     "UnboundedDirection",
     "ZeroPivot",
     "brute_force_optimum",
@@ -99,7 +94,6 @@ __all__ = [
     "lana_lp_path",
     "parse_lp_text",
     "projected_direction",
-    "report_as_dict",
     "run_cli",
     "solve_affine",
     "solve_simplex",

@@ -55,10 +55,10 @@ class IpmOptions:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be positive and finite")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,7 @@
 
     lpduet solve FILE [--method simplex|affine|both] [--alpha A] [--tol T]
                       [--max-iter N] [--trace PATH] [--json]
-    lpduet lana [--json]
+    lpduet lana [--json]      (lpduet solve on the bundled lana.lp, all defaults)
 
 Exit codes: 0 optimal, 2 infeasible, 3 unbounded, 4 iteration limit,
 1 usage, parse or internal error. With --method both the exit code follows
@@ -20,11 +20,9 @@ from pathlib import Path
 
 from .affine import IpmOptions, solve_affine
 from .errors import InfeasibleInterior, LpError
-from .lp_format import lana_instance, parse_lp_text
+from .lp_format import lana_lp_path, parse_lp_text
 from .model import LPModel, Solution, Status, to_equality_form
 from .reporting import (
-    SolveReport,
-    TraceRow,
     build_report,
     ipm_trace_rows,
     write_report_pair,
@@ -99,45 +97,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _options(ns) -> tuple[SimplexOptions, IpmOptions]:
-    """Engine options from the solve flags; --alpha is capped at 0.95."""
+def _options(ns) -> dict:
+    """Engine options by method, from the solve flags; --alpha is capped at 0.95."""
     ipm = IpmOptions(alpha=min(ns.alpha, 0.95), tol=ns.tol)
     if ns.max_iter is None:
-        return SimplexOptions(), ipm
-    return SimplexOptions(max_pivots=ns.max_iter), replace(ipm, max_iter=ns.max_iter)
+        return {"simplex": SimplexOptions(), "affine": ipm}
+    return {
+        "simplex": SimplexOptions(max_pivots=ns.max_iter),
+        "affine": replace(ipm, max_iter=ns.max_iter),
+    }
 
 
-def _run_simplex(
-    model: LPModel, opts: SimplexOptions
-) -> tuple[SolveReport, Solution, list[TraceRow]]:
-    rows: list[TraceRow] = []
+def _run_simplex(model: LPModel, opts: SimplexOptions) -> tuple[Solution, list[tuple]]:
+    rows: list[tuple] = []
 
     def record(iteration, entering, leaving, obj_finite, _obj_m):
-        rows.append(
-            TraceRow(iteration=iteration, objective=obj_finite,
-                     entering=entering, leaving=leaving)
-        )
+        rows.append((iteration, obj_finite, entering, leaving))
 
-    start = time.perf_counter()
-    solution = solve_simplex(model, opts, on_pivot=record)
-    elapsed_ms = 1e3 * (time.perf_counter() - start)
-    return build_report("simplex", model, solution, elapsed_ms), solution, rows
+    return solve_simplex(model, opts, on_pivot=record), rows
 
 
-def _run_affine(
-    model: LPModel, opts: IpmOptions
-) -> tuple[SolveReport, Solution, list[TraceRow]]:
+def _run_affine(model: LPModel, opts: IpmOptions) -> tuple[Solution, list[tuple]]:
     form = to_equality_form(model)
-    start = time.perf_counter()
     try:
         solution, states = solve_affine(form, opts)
-        rows = ipm_trace_rows(states, form)
     except InfeasibleInterior as exc:
         print(f"warning: {exc}; reporting infeasible", file=sys.stderr)
-        solution = Solution(Status.INFEASIBLE, None, None, 0, ())
-        rows = []
-    elapsed_ms = 1e3 * (time.perf_counter() - start)
-    return build_report("affine", model, solution, elapsed_ms), solution, rows
+        return Solution(Status.INFEASIBLE, None, None, 0, ()), []
+    return solution, ipm_trace_rows(states, form)
+
+
+_ENGINES = {"simplex": _run_simplex, "affine": _run_affine}
 
 
 def _trace_path(base: str, method: str, both: bool) -> Path:
@@ -160,59 +150,31 @@ def _cmd_solve(ns) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
 
-    sx_opts, ipm_opts = _options(ns)
-    fmt = "json" if ns.json else "human"
-    end = "\n" if ns.json else ""  # human reports already end in a newline
+    methods = ("simplex", "affine") if ns.method == "both" else (ns.method,)
+    opts = _options(ns)
+    reports, traces = [], []
     try:
-        if ns.method == "simplex":
-            report, solution, rows = _run_simplex(model, sx_opts)
-            print(write_solution_report(report, fmt, model), end=end)
-            if ns.trace and rows:
-                write_iteration_trace(rows, _trace_path(ns.trace, "simplex", False))
-            return _EXIT_CODES[solution.status.value]
-        if ns.method == "affine":
-            report, solution, rows = _run_affine(model, ipm_opts)
-            print(write_solution_report(report, fmt, model), end=end)
-            if ns.trace and rows:
-                write_iteration_trace(rows, _trace_path(ns.trace, "affine", False))
-            return _EXIT_CODES[solution.status.value]
-
-        sx_report, sx_solution, sx_rows = _run_simplex(model, sx_opts)
-        af_report, _, af_rows = _run_affine(model, ipm_opts)
-        print(write_report_pair(sx_report, af_report, fmt, model), end=end)
-        if ns.trace:
-            if sx_rows:
-                write_iteration_trace(sx_rows, _trace_path(ns.trace, "simplex", True))
-            if af_rows:
-                write_iteration_trace(af_rows, _trace_path(ns.trace, "affine", True))
-        return _EXIT_CODES[sx_solution.status.value]
+        for method in methods:
+            start = time.perf_counter()
+            solution, rows = _ENGINES[method](model, opts[method])
+            elapsed_ms = 1e3 * (time.perf_counter() - start)
+            reports.append(build_report(method, model, solution, elapsed_ms))
+            traces.append(rows)
     except LpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-def _cmd_lana(ns) -> int:
-    model = lana_instance()
-    sx_report, sx_solution, _ = _run_simplex(model, SimplexOptions())
-    af_report, _, _ = _run_affine(model, IpmOptions())
     fmt = "json" if ns.json else "human"
-    if fmt == "json":
-        print(write_report_pair(sx_report, af_report, "json", model))
+    if len(reports) == 1:
+        text = write_solution_report(reports[0], fmt, model)
     else:
-        print("LANA production plan, engine comparison")
-        print()
-        width = max(len(n) for n, _ in sx_report.variables) if sx_report.variables else 8
-        print(f"{'variable':<{width + 2}}{'simplex':>16}{'affine':>16}")
-        af_values = dict(af_report.variables)
-        for name, value in sx_report.variables:
-            other = af_values.get(name, float("nan"))
-            print(f"{name:<{width + 2}}{value:>16.4f}{other:>16.4f}")
-        sx_obj = "-" if sx_report.objective is None else f"{sx_report.objective:.4f}"
-        af_obj = "-" if af_report.objective is None else f"{af_report.objective:.4f}"
-        print(f"{'objective':<{width + 2}}{sx_obj:>16}{af_obj:>16}")
-        print(f"{'status':<{width + 2}}{sx_report.status:>16}{af_report.status:>16}")
-        print(f"{'iterations':<{width + 2}}{sx_report.iterations:>16}{af_report.iterations:>16}")
-    return _EXIT_CODES[sx_solution.status.value]
+        text = write_report_pair(*reports, fmt, model)
+    print(text, end="\n" if ns.json else "")  # human reports already end in a newline
+    if ns.trace:
+        for method, rows in zip(methods, traces):
+            if rows:
+                write_iteration_trace(rows, _trace_path(ns.trace, method, len(methods) > 1))
+    return _EXIT_CODES[reports[0]["status"]]
 
 
 def run_cli(argv=None) -> int:
@@ -222,9 +184,10 @@ def run_cli(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if ns.command == "solve":
-        return _cmd_solve(ns)
-    return _cmd_lana(ns)
+    if ns.command == "lana":
+        # The bundled model through the solve path with every solve default.
+        ns = parser.parse_args(["solve", str(lana_lp_path()), *(["--json"] if ns.json else [])])
+    return _cmd_solve(ns)
 
 
 def main() -> None:

@@ -1,183 +1,153 @@
-"""Solve reports (human table / JSON) and iteration trace CSV files."""
+"""Solve reports (human table / JSON) and iteration trace CSV files.
+
+A report is a plain dict with a fixed key order, so identical solves
+serialize byte for byte apart from ``wall_time_ms``. A trace row is a plain
+tuple in CSV column order: ``(iteration, objective, entering, leaving)`` for
+the simplex and ``(iteration, objective, step_norm, min_x, residual)`` for
+the interior point engine.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .affine import IpmState
-from .model import LPModel, Relation, Solution, StandardForm
+from .model import FEASIBILITY_TOL, LPModel, Relation, Solution, StandardForm
 
 # CSV headers are part of the interface; tools downstream match them verbatim.
 IPM_TRACE_HEADER = "iteration,objective,step_norm,min_x,residual"
 SIMPLEX_TRACE_HEADER = "iteration,objective,entering,leaving"
 
 
-@dataclass(frozen=True, eq=False)
-class SolveReport:
-    """Boundary-format view of one solve, ready for serialization."""
-
-    method: str
-    status: str
-    objective: float | None
-    variables: tuple[tuple[str, float], ...]
-    binding_constraints: tuple[str, ...]
-    iterations: int
-    wall_time_ms: float
+def _float(value) -> str:
+    return repr(float(value))
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One trace record; IPM rows fill step_norm/min_x/residual, simplex rows
-    fill entering/leaving."""
-
-    iteration: int
-    objective: float
-    step_norm: float | None = None
-    min_x: float | None = None
-    residual: float | None = None
-    entering: int | None = None
-    leaving: int | None = None
+# Trace row length -> (header, one formatter per column).
+_TRACE_LAYOUTS = {
+    4: (SIMPLEX_TRACE_HEADER, (str, _float, str, str)),
+    5: (IPM_TRACE_HEADER, (str, _float, _float, _float, _float)),
+}
 
 
-def build_report(method: str, model: LPModel, solution: Solution, wall_time_ms: float) -> SolveReport:
-    """Assemble a SolveReport from a solution and its model."""
-    if solution.x is None:
-        variables: tuple[tuple[str, float], ...] = ()
-    else:
-        variables = tuple(
-            (name, float(solution.x[j])) for j, name in enumerate(model.variable_names)
-        )
-    binding = tuple(model.row_names[i] for i in solution.binding)
-    return SolveReport(
-        method=method,
-        status=solution.status.value,
-        objective=None if solution.objective is None else float(solution.objective),
-        variables=variables,
-        binding_constraints=binding,
-        iterations=solution.iterations,
-        wall_time_ms=float(wall_time_ms),
-    )
-
-
-def report_as_dict(report: SolveReport) -> dict:
-    """Fixed key order; identical solves serialize byte for byte apart from
-    wall_time_ms."""
+def build_report(method: str, model: LPModel, solution: Solution, wall_time_ms: float) -> dict:
+    """One solve as a dict in fixed key order, ready for serialization."""
+    x = solution.x
     return {
-        "method": report.method,
-        "status": report.status,
-        "objective": report.objective,
-        "variables": [{"name": n, "value": v} for n, v in report.variables],
-        "binding_constraints": list(report.binding_constraints),
-        "iterations": report.iterations,
-        "wall_time_ms": report.wall_time_ms,
+        "method": method,
+        "status": solution.status.value,
+        "objective": None if solution.objective is None else float(solution.objective),
+        "variables": [] if x is None else [
+            {"name": name, "value": float(x[j])} for j, name in enumerate(model.variable_names)
+        ],
+        "binding_constraints": [model.row_names[i] for i in solution.binding],
+        "iterations": solution.iterations,
+        "wall_time_ms": float(wall_time_ms),
     }
 
 
-def _lower_bound_note(model: LPModel | None, var_index: int, value: float) -> str:
-    if model is None:
+def _lower_bounds(model: LPModel) -> dict[int, float]:
+    """Variable index -> bound of its first single-variable ``>=`` row."""
+    bounds: dict[int, float] = {}
+    for i in np.flatnonzero(np.count_nonzero(model.a, axis=1) == 1):
+        if model.relations[i] is Relation.GE:
+            j = int(np.flatnonzero(model.a[i])[0])
+            bounds.setdefault(j, model.b[i] / model.a[i, j])
+    return bounds
+
+
+def _lower_bound_note(bound: float | None, value: float) -> str:
+    if bound is None:
         return "-"
-    for row, relation, rhs in zip(model.a, model.relations, model.b):
-        nz = np.nonzero(row)[0]
-        if relation is Relation.GE and len(nz) == 1 and nz[0] == var_index:
-            bound = rhs / row[var_index]
-            state = "binding" if abs(value - bound) <= 1e-6 * (1.0 + abs(bound)) else "above"
-            return f">= {bound:g} ({state})"
-    return "-"
+    binding = abs(value - bound) <= FEASIBILITY_TOL * (1.0 + abs(bound))
+    return f">= {bound:g} ({'binding' if binding else 'above'})"
 
 
-def write_solution_report(report: SolveReport, format: str = "human", model: LPModel | None = None) -> str:
+def write_solution_report(report: dict, format: str = "human", model: LPModel | None = None) -> str:
     """Render one report as a human table or a JSON document.
 
     The human table lists each variable with its value and, when the model is
     available, the status of its lower-bound row.
     """
     if format == "json":
-        return json.dumps(report_as_dict(report), indent=2)
+        return json.dumps(report, indent=2)
     if format != "human":
         raise ValueError(f"unknown report format {format!r}")
-    obj = "-" if report.objective is None else f"{report.objective:.6f}"
+    obj = "-" if report["objective"] is None else f"{report['objective']:.6f}"
     lines = [
-        f"method:     {report.method}",
-        f"status:     {report.status}",
+        f"method:     {report['method']}",
+        f"status:     {report['status']}",
         f"objective:  {obj}",
-        f"iterations: {report.iterations}",
-        f"wall time:  {report.wall_time_ms:.1f} ms",
+        f"iterations: {report['iterations']}",
+        f"wall time:  {report['wall_time_ms']:.1f} ms",
     ]
-    if report.variables:
-        width = max(len(n) for n, _ in report.variables)
+    variables = report["variables"]
+    if variables:
+        bounds = {} if model is None else _lower_bounds(model)
+        width = max(len(v["name"]) for v in variables)
         lines.append("")
         lines.append(f"{'variable':<{width + 2}}{'value':>16}  lower bound")
-        for j, (name, value) in enumerate(report.variables):
-            note = _lower_bound_note(model, j, value)
-            lines.append(f"{name:<{width + 2}}{value:>16.6f}  {note}")
-    if report.binding_constraints:
+        for j, v in enumerate(variables):
+            note = _lower_bound_note(bounds.get(j), v["value"])
+            lines.append(f"{v['name']:<{width + 2}}{v['value']:>16.6f}  {note}")
+    if report["binding_constraints"]:
         lines.append("")
-        lines.append("binding: " + ", ".join(report.binding_constraints))
+        lines.append("binding: " + ", ".join(report["binding_constraints"]))
     return "\n".join(lines) + "\n"
 
 
 def write_report_pair(
-    first: SolveReport,
-    second: SolveReport,
+    first: dict,
+    second: dict,
     format: str = "human",
     model: LPModel | None = None,
 ) -> str:
     """Render two reports from the same model; human output adds a delta line."""
     if format == "json":
-        return json.dumps([report_as_dict(first), report_as_dict(second)], indent=2)
+        return json.dumps([first, second], indent=2)
     parts = [
-        write_solution_report(first, "human", model),
-        write_solution_report(second, "human", model),
+        write_solution_report(first, format, model),
+        write_solution_report(second, format, model),
     ]
-    if first.objective is not None and second.objective is not None:
-        delta = first.objective - second.objective
+    if first["objective"] is not None and second["objective"] is not None:
+        delta = first["objective"] - second["objective"]
         parts.append(
-            f"objective delta ({first.method} - {second.method}): {delta:.6g}\n"
+            f"objective delta ({first['method']} - {second['method']}): {delta:.6g}\n"
         )
     return "\n".join(parts)
 
 
-def ipm_trace_rows(states: list[IpmState], form: StandardForm) -> list[TraceRow]:
+def ipm_trace_rows(states: list[IpmState], form: StandardForm) -> list[tuple]:
     """Convert recorded iterates to trace rows; residual is scaled by 1+||b||."""
     b_norm = float(np.linalg.norm(form.b))
-    rows = []
-    for state in states:
-        resid = float(np.linalg.norm(form.b - form.a @ state.x)) / (1.0 + b_norm)
-        rows.append(
-            TraceRow(
-                iteration=state.iteration,
-                objective=state.objective,
-                step_norm=state.step_norm,
-                min_x=float(state.x.min()),
-                residual=resid,
-            )
+    return [
+        (
+            state.iteration,
+            state.objective,
+            state.step_norm,
+            float(state.x.min()),
+            float(np.linalg.norm(form.b - form.a @ state.x)) / (1.0 + b_norm),
         )
-    return rows
+        for state in states
+    ]
 
 
-def write_iteration_trace(rows: list[TraceRow], path) -> None:
-    """Write trace rows as CSV; the header is picked from the row shape.
+def write_iteration_trace(rows: list[tuple], path) -> None:
+    """Write trace rows as CSV; the header is picked from the row length.
 
-    Raises ValueError on an empty trace; file-system problems surface as
-    OSError.
+    Integer columns are written with ``str``, float columns with
+    ``repr(float(v))``. Raises ValueError on an empty trace or an unknown row
+    length; file-system problems surface as OSError.
     """
     if not rows:
         raise ValueError("refusing to write an empty trace")
-    simplex_style = rows[0].entering is not None
-    lines = [SIMPLEX_TRACE_HEADER if simplex_style else IPM_TRACE_HEADER]
+    if len(rows[0]) not in _TRACE_LAYOUTS:
+        raise ValueError(f"trace rows have {len(rows[0])} columns, expected 4 or 5")
+    header, formats = _TRACE_LAYOUTS[len(rows[0])]
+    lines = [header]
     for row in rows:
-        if simplex_style:
-            lines.append(
-                f"{row.iteration},{float(row.objective)!r},"
-                f"{row.entering},{row.leaving}"
-            )
-        else:
-            lines.append(
-                f"{row.iteration},{float(row.objective)!r},{float(row.step_norm)!r},"
-                f"{float(row.min_x)!r},{float(row.residual)!r}"
-            )
+        lines.append(",".join(fmt(v) for fmt, v in zip(formats, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

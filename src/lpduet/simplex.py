@@ -10,6 +10,7 @@ for a maximization means no entry is below -pivot_tol in that order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -41,10 +42,10 @@ class SimplexOptions:
     anti_cycling: str = LARGEST_COEFFICIENT
 
     def __post_init__(self):
-        if self.pivot_tol <= 0.0:
-            raise ValueError("pivot_tol must be positive")
-        if self.max_pivots < 1:
-            raise ValueError("max_pivots must be at least 1")
+        if not (math.isfinite(self.pivot_tol) and self.pivot_tol > 0.0):
+            raise ValueError("pivot_tol must be positive and finite")
+        if isinstance(self.max_pivots, bool) or not isinstance(self.max_pivots, int) or self.max_pivots < 1:
+            raise ValueError("max_pivots must be an integer of at least 1")
         if self.anti_cycling not in (LARGEST_COEFFICIENT, BLAND):
             raise ValueError(f"unknown anti-cycling rule {self.anti_cycling!r}")
 

@@ -196,3 +196,18 @@ def test_ipm_options_validation():
         IpmOptions(tol=0.0)
     with pytest.raises(ValueError):
         IpmOptions(max_iter=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", float("nan")),
+        ("tol", float("nan")),  # would run to the iteration limit
+        ("tol", float("inf")),  # would end in InfeasibleInterior
+        ("max_iter", 2.5),  # a TypeError from range() deep in the solve
+        ("max_iter", True),
+    ],
+)
+def test_ipm_options_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        IpmOptions(**{field: value})

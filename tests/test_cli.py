@@ -10,6 +10,7 @@ import pytest
 
 from lpduet import IPM_TRACE_HEADER, SIMPLEX_TRACE_HEADER, lana_lp_path, run_cli
 
+DATA = Path(__file__).resolve().parent / "data"
 TOY = "max: 3x + 2y;\ncap: x + y <= 4;\nwall: x <= 2;\n"
 UNBOUNDED = "max: x;\nfloor: x >= 1;\n"
 INFEASIBLE = "max: x;\nlow: x >= 2;\nhigh: x <= 1;\n"
@@ -189,12 +190,28 @@ def test_both_methods_trace_suffixing(tmp_path, capsys):
     assert affine.read_text().splitlines()[0] == IPM_TRACE_HEADER
 
 
+def test_both_methods_trace_bytes_are_pinned(tmp_path, capsys):
+    target = tmp_path / "run.csv"
+    code = run_cli(["solve", write(tmp_path, TOY), "--method", "both", "--trace", str(target)])
+    assert code == 0
+    for method in ("simplex", "affine"):
+        written = (tmp_path / f"run.{method}.csv").read_bytes()
+        assert written == (DATA / f"toy_trace.{method}.csv").read_bytes()
+
+
+def _without_wall_time(text):
+    return [line for line in text.splitlines() if not line.startswith("wall time:")]
+
+
 def test_lana_subcommand(capsys):
     code = run_cli(["lana"])
     assert code == 0
     out = capsys.readouterr().out
     assert "simplex" in out and "affine" in out
     assert "765056.25" in out
+    # The same report pair as `solve` on the bundled file with its defaults.
+    assert run_cli(["solve", str(lana_lp_path())]) == 0
+    assert _without_wall_time(out) == _without_wall_time(capsys.readouterr().out)
 
 
 def test_lana_subcommand_json(capsys):

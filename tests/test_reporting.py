@@ -10,12 +10,10 @@ from lpduet import (
     SIMPLEX_TRACE_HEADER,
     Relation,
     Sense,
-    TraceRow,
     build_model,
     build_report,
     ipm_trace_rows,
     lana_instance,
-    report_as_dict,
     solve_affine,
     solve_simplex,
     to_equality_form,
@@ -41,18 +39,18 @@ def toy_report():
 
 def test_build_report_fields():
     report, _ = toy_report()
-    assert report.method == "simplex"
-    assert report.status == "optimal"
-    assert report.objective == 10.0
-    assert report.variables == (("x", 2.0), ("y", 2.0))
-    assert report.binding_constraints == ("c1", "c2") or len(report.binding_constraints) == 2
-    assert report.wall_time_ms == 1.25
+    assert report["method"] == "simplex"
+    assert report["status"] == "optimal"
+    assert report["objective"] == 10.0
+    assert report["variables"] == [{"name": "x", "value": 2.0}, {"name": "y", "value": 2.0}]
+    assert sorted(report["binding_constraints"]) == ["c1", "c2"]
+    assert report["iterations"] == 2
+    assert report["wall_time_ms"] == 1.25
 
 
-def test_report_as_dict_key_order():
+def test_build_report_key_order():
     report, _ = toy_report()
-    d = report_as_dict(report)
-    assert list(d) == [
+    assert list(report) == [
         "method",
         "status",
         "objective",
@@ -61,13 +59,12 @@ def test_report_as_dict_key_order():
         "iterations",
         "wall_time_ms",
     ]
-    assert d["variables"][0] == {"name": "x", "value": 2.0}
 
 
 def test_json_report_round_trips():
     report, _ = toy_report()
     text = write_solution_report(report, format="json")
-    assert json.loads(text) == report_as_dict(report)
+    assert json.loads(text) == report
 
 
 def test_human_report_layout():
@@ -90,17 +87,33 @@ def test_human_report_marks_lower_bounds():
     assert "binding: " in text
 
 
+def test_lower_bound_note_takes_the_first_bound_row():
+    # Two single-variable >= rows on x: the first one is the one reported.
+    m = build_model(
+        Sense.MIN,
+        ("x", "y"),
+        (1.0, 1.0),
+        [((2.0, 0.0), Relation.GE, 2.0), ((1.0, 0.0), Relation.GE, 3.0), ((0.0, 1.0), Relation.GE, 1.0)],
+    )
+    report = build_report("simplex", m, solve_simplex(m), 0.0)
+    text = write_solution_report(report, format="human", model=m)
+    assert "3.000000  >= 1 (above)" in text
+    assert "1.000000  >= 1 (binding)" in text
+
+
 def test_unknown_format_rejected():
     report, _ = toy_report()
     with pytest.raises(ValueError):
         write_solution_report(report, format="yaml")
+    with pytest.raises(ValueError):
+        write_report_pair(report, report, format="yaml")
 
 
 def test_report_without_point_has_no_variable_block():
     m = build_model(Sense.MAX, ("x",), (1.0,), [((1.0,), Relation.GE, 1.0)])
     report = build_report("simplex", m, solve_simplex(m), 0.0)
-    assert report.objective is None
-    assert report.variables == ()
+    assert report["objective"] is None
+    assert report["variables"] == []
     text = write_solution_report(report, format="human", model=m)
     assert "objective:  -" in text
 
@@ -119,13 +132,14 @@ def test_ipm_trace_rows_are_scaled():
     form = to_equality_form(toy_model())
     _, states = solve_affine(form)
     rows = ipm_trace_rows(states, form)
-    assert rows[0].iteration == 0
-    assert rows[0].step_norm == np.inf
+    assert rows[0][0] == 0
+    assert rows[0][2] == np.inf
     b_norm = np.linalg.norm(form.b)
-    for row, state in zip(rows, states):
+    for (iteration, objective, step_norm, min_x, residual), state in zip(rows, states):
+        assert (iteration, objective, step_norm) == (state.iteration, state.objective, state.step_norm)
         expected = np.linalg.norm(form.b - form.a @ state.x) / (1.0 + b_norm)
-        assert row.residual == pytest.approx(expected, abs=1e-15)
-        assert row.min_x == state.x.min()
+        assert residual == pytest.approx(expected, abs=1e-15)
+        assert min_x == state.x.min()
 
 
 def test_write_ipm_trace(tmp_path):
@@ -143,8 +157,8 @@ def test_write_ipm_trace(tmp_path):
 
 def test_write_simplex_trace(tmp_path):
     rows = [
-        TraceRow(iteration=1, objective=6.0, entering=0, leaving=3),
-        TraceRow(iteration=2, objective=10.0, entering=1, leaving=2),
+        (1, 6.0, 0, 3),
+        (2, 10, 1, 2),  # an int objective is still written as a float
     ]
     out = tmp_path / "trace.csv"
     write_iteration_trace(rows, out)
@@ -155,7 +169,7 @@ def test_write_simplex_trace(tmp_path):
 
 
 def test_write_trace_coerces_numpy_scalars(tmp_path):
-    rows = [TraceRow(iteration=1, objective=np.float64(88803.0), entering=0, leaving=24)]
+    rows = [(1, np.float64(88803.0), np.int64(0), np.int64(24))]
     out = tmp_path / "trace.csv"
     write_iteration_trace(rows, out)
     line = out.read_text().splitlines()[1]
@@ -166,3 +180,5 @@ def test_write_trace_coerces_numpy_scalars(tmp_path):
 def test_write_empty_trace_is_an_error(tmp_path):
     with pytest.raises(ValueError):
         write_iteration_trace([], tmp_path / "trace.csv")
+    with pytest.raises(ValueError):
+        write_iteration_trace([(1, 6.0, 0)], tmp_path / "trace.csv")

@@ -203,6 +203,22 @@ def test_iteration_limit():
     assert sol.iterations == 1
 
 
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pivot_tol", 0.0),
+        ("pivot_tol", float("nan")),  # every ratio test would fail: INFEASIBLE
+        ("pivot_tol", float("inf")),
+        ("max_pivots", 0),
+        ("max_pivots", 2.5),  # a TypeError from range() deep in the solve
+        ("max_pivots", True),
+    ],
+)
+def test_simplex_options_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimplexOptions(**{field: value})
+
 def test_on_pivot_callback_sees_every_pivot():
     seen = []
     sol = solve_simplex(toy_model(), on_pivot=lambda *args: seen.append(args))
