@@ -117,13 +117,15 @@ def _run_simplex(model: LPModel, opts: SimplexOptions) -> tuple[Solution, list[t
     return solve_simplex(model, opts, on_pivot=record), rows
 
 
-def _run_affine(model: LPModel, opts: IpmOptions) -> tuple[Solution, list[tuple]]:
+def _run_affine(model: LPModel, opts: IpmOptions) -> tuple[Solution, list[tuple] | None]:
+    """The solution and trace rows; the rows are None when phase 1 finds no
+    interior point."""
     form = to_equality_form(model)
     try:
         solution, states = solve_affine(form, opts)
     except InfeasibleInterior as exc:
         print(f"warning: {exc}; reporting infeasible", file=sys.stderr)
-        return Solution(Status.INFEASIBLE, None, None, 0, ()), []
+        return Solution(Status.INFEASIBLE, None, None, 0, ()), None
     return solution, ipm_trace_rows(states, form)
 
 
@@ -172,7 +174,10 @@ def _cmd_solve(ns) -> int:
     print(text, end="\n" if ns.json else "")  # human reports already end in a newline
     if ns.trace:
         for method, rows in zip(methods, traces):
-            if rows:
+            if rows is None:
+                print(f"warning: no {method} trace written: phase 1 found no interior point",
+                      file=sys.stderr)
+            elif rows:
                 write_iteration_trace(rows, _trace_path(ns.trace, method, len(methods) > 1))
     return _EXIT_CODES[reports[0]["status"]]
 

@@ -2,36 +2,42 @@
 
 Exponential by design; the subset budget keeps it honest. Used to cross-check
 both engines on small instances and on the bundled LANA model (C(21,15) =
-54,264 bases).
+54,264 bases). The budget is tested before the rank, which lies between the
+count of slack and surplus columns (unit vectors on distinct rows) and the row
+count. Subsets are gathered 64 at a time and each is factored in place by
+LAPACK's partial-pivoting LU; one is nonsingular, and solved, when its largest
+entry is nonzero and no LU pivot falls below SINGULAR_RTOL times that entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, qr
+from scipy.linalg import qr
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import TooLarge
 from .model import Solution, StandardForm, Status, binding_rows, native_objective, structural_values
 
 MAX_BASES = 10**6
-# A basis is rejected as singular when any LU pivot falls below this fraction
-# of the submatrix's largest entry.
 SINGULAR_RTOL = 1e-10
 FEASIBLE_TOL = 1e-9
+_BATCH = 64  # larger batches only raise the peak memory
+# scipy.linalg.lu_factor/lu_solve's LAPACK kernels without their per-call
+# dispatch, kept under these names and called once per candidate and once per
+# nonsingular candidate: tools count and time the oracle through them.
+lu_factor = dgetrf
+lu_solve = dgetrs
 
 
 @dataclass(frozen=True, eq=False)
 class BasicSolution:
-    """One basis and its basic solution; nonbasic entries are exactly zero.
-
-    ``objective`` is in the internal maximize sense (form.c @ x).
-    """
+    """One basis and its basic solution (nonbasic entries exactly zero);
+    ``objective`` is form.c @ x, in the internal maximize sense."""
 
     basis: tuple[int, ...]
     x: np.ndarray
@@ -54,45 +60,43 @@ def _independent_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 def enumerate_basic_solutions(form: StandardForm) -> Iterator[BasicSolution]:
     """Yield a BasicSolution for every nonsingular basis-sized column subset.
 
-    Redundant equality rows are dropped first (a consistent system keeps a
-    maximal independent row set; an inconsistent one has no basic solutions
-    and yields nothing), so the basis size is the row rank of A. Subsets come
-    in lexicographic column order. Singular bases are skipped; feasibility
-    means every basic value is >= -1e-9. Raises TooLarge when the number of
-    candidate subsets exceeds MAX_BASES.
+    Raises TooLarge when no rank the form can have keeps the subsets within
+    MAX_BASES (an over-budget inconsistent system refuses too), or when the
+    row rank of A, the basis size once redundant equality rows are dropped,
+    does not. Otherwise an inconsistent system yields nothing. Subsets come in
+    lexicographic column order; feasible means every basic value >= -1e-9.
     """
     n = form.a.shape[1]
+    if all(math.comb(n, k) > MAX_BASES for k in range(len(form.slack_rows), form.n_rows + 1)):
+        raise TooLarge(f"more than {MAX_BASES} candidate bases for every possible rank")
     rows = _independent_rows(form.a, form.b)
     if rows is None:
         return
-    a = form.a[rows]
+    a = form.a[rows].astype(np.float64, copy=False)  # dgetrf works in place on float64
     b = form.b[rows]
     m = a.shape[0]
     if m == 0:
-        # A is (numerically) zero and b is consistent: the origin is the
-        # only basic solution.
+        # A is (numerically) zero and b consistent: only the origin is basic.
         yield BasicSolution((), np.zeros(n), True, 0.0)
         return
-    total = math.comb(n, m) if n >= m else 0
+    total = math.comb(n, m)
     if total > MAX_BASES:
         raise TooLarge(f"{total} candidate bases exceed the budget of {MAX_BASES}")
-    for cols in itertools.combinations(range(n), m):
-        sub = a[:, cols]
-        scale = float(np.abs(sub).max())
-        if scale == 0.0:
-            continue
-        with warnings.catch_warnings():
-            # lu_factor warns on exactly singular submatrices; the pivot
-            # check below is the decision we actually use.
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(sub, check_finite=False)
-        if float(np.abs(np.diag(lu)).min()) < SINGULAR_RTOL * scale:
-            continue
-        xb = lu_solve((lu, piv), b, check_finite=False)
-        x = np.zeros(n)
-        x[list(cols)] = xb
-        feasible = bool(xb.min() >= -FEASIBLE_TOL)
-        yield BasicSolution(cols, x, feasible, float(form.c @ x))
+    diagonal = np.arange(m)
+    subsets = itertools.combinations(range(n), m)
+    while batch := list(itertools.islice(subsets, _BATCH)):
+        # stack[k] is the transpose of candidate k's submatrix, so stack[k].T
+        # is that submatrix in Fortran order and LAPACK factors it in place.
+        idx = np.array(batch)
+        stack = a.T[idx]
+        scale = np.abs(stack).max(axis=(1, 2))
+        pivots = [lu_factor(sub.T, overwrite_a=1)[1] for sub in stack]
+        smallest = np.abs(stack[:, diagonal, diagonal]).min(axis=1)
+        for k in np.flatnonzero((smallest >= SINGULAR_RTOL * scale) & (scale > 0.0)):
+            xb = lu_solve(stack[k].T, pivots[k], b)[0]
+            x = np.zeros(n)
+            x[idx[k]] = xb
+            yield BasicSolution(batch[k], x, bool(xb.min() >= -FEASIBLE_TOL), float(form.c @ x))
 
 
 def brute_force_optimum(form: StandardForm) -> Solution:
@@ -110,10 +114,6 @@ def brute_force_optimum(form: StandardForm) -> Solution:
             best = cand
     if best is None:
         return Solution(Status.INFEASIBLE, None, None, count, ())
-    return Solution(
-        Status.OPTIMAL,
-        structural_values(form, best.x),
-        native_objective(form, best.x),
-        count,
-        binding_rows(form, best.x),
-    )
+    x = best.x
+    return Solution(Status.OPTIMAL, structural_values(form, x), native_objective(form, x),
+                    count, binding_rows(form, x))

@@ -238,3 +238,29 @@ def test_python_m_lpduet_runs_the_cli():
     assert proc.stderr == ""
     assert proc.stdout.endswith("}\n")
     assert json.loads(proc.stdout)["objective"] == pytest.approx(765056.25, rel=1e-9)
+
+
+def without_wall_time(text):
+    reports = json.loads(text)
+    for report in reports if isinstance(reports, list) else [reports]:
+        report.pop("wall_time_ms")
+    return reports
+
+
+@pytest.mark.parametrize("method", ["affine", "both"])
+def test_missing_affine_trace_is_reported(tmp_path, capsys, method):
+    model = write(tmp_path, INFEASIBLE)
+    plain = run_cli(["solve", model, "--method", method, "--json"])
+    plain_out, plain_err = capsys.readouterr()
+    target = tmp_path / "run.csv"
+    code = run_cli(["solve", model, "--method", method, "--json", "--trace", str(target)])
+    out, err = capsys.readouterr()
+    assert code == plain == 2
+    assert without_wall_time(out) == without_wall_time(plain_out)
+    assert "no affine trace written" not in plain_err
+    assert err.startswith(plain_err)
+    assert err[len(plain_err):] == (
+        "warning: no affine trace written: phase 1 found no interior point\n"
+    )
+    written = sorted(p.name for p in tmp_path.glob("run*.csv"))
+    assert written == (["run.simplex.csv"] if method == "both" else [])

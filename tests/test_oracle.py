@@ -1,10 +1,16 @@
 """Exhaustive basis enumeration against the iterative engines."""
 
+import itertools
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
-from conftest import rng_for, random_bounded_lp
+import lpduet.oracle
+from conftest import rng_for, random_bounded_lp, random_infeasible_lp, random_unbounded_lp
 from lpduet import (
     Relation,
     Sense,
@@ -13,6 +19,7 @@ from lpduet import (
     brute_force_optimum,
     build_model,
     enumerate_basic_solutions,
+    lana_instance,
     solve_simplex,
     to_equality_form,
 )
@@ -26,6 +33,149 @@ def toy_form():
         [((1.0, 1.0), Relation.LE, 4.0), ((1.0, 0.0), Relation.LE, 2.0)],
     )
     return to_equality_form(m)
+
+
+def redundant_rows_model():
+    # three scalings of one equality row make the equality form taller than
+    # it is wide; the oracle must still see the vertices
+    return build_model(
+        Sense.MAX,
+        ("x", "y"),
+        (1.0, 1.0),
+        [
+            ((1.0, 1.0), Relation.EQ, 2.0),
+            ((2.0, 2.0), Relation.EQ, 4.0),
+            ((3.0, 3.0), Relation.EQ, 6.0),
+            ((1.0, 0.0), Relation.LE, 5.0),
+        ],
+    )
+
+
+def contradictory_rows_model():
+    return build_model(
+        Sense.MAX,
+        ("x", "y"),
+        (1.0, 1.0),
+        [
+            ((1.0, 1.0), Relation.EQ, 2.0),
+            ((2.0, 2.0), Relation.EQ, 5.0),
+        ],
+    )
+
+
+def reference_basic_solutions(form):
+    """The oracle's kernel before batching: one subset at a time through
+    scipy.linalg.lu_factor/lu_solve, with the same row drop and pivot rule."""
+    n = form.n_cols
+    rows = lpduet.oracle._independent_rows(form.a, form.b)
+    if rows is None:
+        return
+    a, b = form.a[rows], form.b[rows]
+    if a.shape[0] == 0:
+        yield (), np.zeros(n), True, 0.0
+        return
+    for cols in itertools.combinations(range(n), a.shape[0]):
+        sub = a[:, cols]
+        scale = float(np.abs(sub).max())
+        if scale == 0.0:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(sub, check_finite=False)
+        if float(np.abs(np.diag(lu)).min()) < lpduet.oracle.SINGULAR_RTOL * scale:
+            continue
+        xb = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+        x = np.zeros(n)
+        x[list(cols)] = xb
+        yield cols, x, bool(xb.min() >= -lpduet.oracle.FEASIBLE_TOL), float(form.c @ x)
+
+
+def reference_forms():
+    yield "lana", to_equality_form(lana_instance())
+    yield "redundant", to_equality_form(redundant_rows_model())
+    yield "contradictory", to_equality_form(contradictory_rows_model())
+    for i in range(40):
+        yield f"bounded{i}", to_equality_form(random_bounded_lp(rng_for(1300 + i)))
+    for i in range(10):
+        yield f"infeasible{i}", to_equality_form(random_infeasible_lp(rng_for(1400 + i)))
+        yield f"unbounded{i}", to_equality_form(random_unbounded_lp(rng_for(1500 + i)))
+
+
+def test_enumeration_matches_the_per_subset_reference():
+    for name, form in reference_forms():
+        got = [
+            (s.basis, s.x.tobytes(), s.feasible, repr(s.objective))
+            for s in enumerate_basic_solutions(form)
+        ]
+        want = [
+            (cols, x.tobytes(), feasible, repr(objective))
+            for cols, x, feasible, objective in reference_basic_solutions(form)
+        ]
+        assert got == want, name
+
+
+def counting(monkeypatch):
+    calls = {"lu_factor": 0, "lu_solve": 0}
+    for attribute in calls:
+        kernel = getattr(lpduet.oracle, attribute)
+
+        def wrapper(*args, _attribute=attribute, _kernel=kernel, **kwargs):
+            calls[_attribute] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(lpduet.oracle, attribute, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, factors, solves",
+    [(toy_form, 6, 5), (lambda: to_equality_form(lana_instance()), 54_264, 20_466)],
+    ids=["toy", "lana"],
+)
+def test_one_factor_per_candidate_and_one_solve_per_nonsingular_basis(
+    monkeypatch, make, factors, solves
+):
+    form = make()
+    calls = counting(monkeypatch)
+    sol = brute_force_optimum(form)
+    assert calls == {"lu_factor": factors, "lu_solve": solves}
+    assert factors == math.comb(form.n_cols, form.n_rows)
+    assert sol.iterations == solves
+
+
+def test_budget_is_tested_before_the_rank(monkeypatch):
+    # 52 slack rows put the rank in [52, 60]; C(112, k) is far over budget
+    # for each such k, so no rank has to be computed to refuse
+    rng = rng_for(42)
+    a = rng.normal(size=(60, 60))
+    relations = [Relation.LE] * 52 + [Relation.EQ] * 8
+    m = build_model(
+        Sense.MAX,
+        tuple(f"x{j}" for j in range(60)),
+        np.ones(60),
+        [(a[i], relations[i], 100.0) for i in range(60)],
+    )
+    form = to_equality_form(m)
+    assert form.n_cols == 112 and len(form.slack_rows) == 52
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("the rank was computed")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+    with pytest.raises(TooLarge):
+        brute_force_optimum(form)
+
+
+def test_over_budget_inconsistent_system_refuses():
+    # the equality rows contradict each other, but the size of the
+    # enumeration is settled first
+    rng = rng_for(43)
+    a = rng.normal(size=(12, 40))
+    rows = [(a[i], Relation.LE, 100.0) for i in range(10)]
+    rows += [(a[10], Relation.EQ, 1.0), (2.0 * a[10], Relation.EQ, 5.0)]
+    m = build_model(Sense.MAX, tuple(f"x{j}" for j in range(40)), np.ones(40), rows)
+    with pytest.raises(TooLarge):
+        brute_force_optimum(to_equality_form(m))
 
 
 def test_enumerate_toy_bases():
@@ -109,19 +259,7 @@ def test_brute_force_matches_simplex_on_random_instances():
 
 
 def test_brute_force_handles_redundant_equality_rows():
-    # three scalings of one equality row make the equality form taller than
-    # it is wide; the oracle must still see the vertices
-    m = build_model(
-        Sense.MAX,
-        ("x", "y"),
-        (1.0, 1.0),
-        [
-            ((1.0, 1.0), Relation.EQ, 2.0),
-            ((2.0, 2.0), Relation.EQ, 4.0),
-            ((3.0, 3.0), Relation.EQ, 6.0),
-            ((1.0, 0.0), Relation.LE, 5.0),
-        ],
-    )
+    m = redundant_rows_model()
     sol = brute_force_optimum(to_equality_form(m))
     assert sol.status is Status.OPTIMAL
     npt.assert_allclose(sol.objective, 2.0)
@@ -129,15 +267,7 @@ def test_brute_force_handles_redundant_equality_rows():
 
 
 def test_brute_force_detects_contradictory_equality_rows():
-    m = build_model(
-        Sense.MAX,
-        ("x", "y"),
-        (1.0, 1.0),
-        [
-            ((1.0, 1.0), Relation.EQ, 2.0),
-            ((2.0, 2.0), Relation.EQ, 5.0),
-        ],
-    )
+    m = contradictory_rows_model()
     form = to_equality_form(m)
     assert list(enumerate_basic_solutions(form)) == []
     assert brute_force_optimum(form).status is Status.INFEASIBLE
