@@ -29,7 +29,6 @@ from .model import (
     Status,
     build_model,
     constraint_residuals,
-    evaluate_objective,
     to_equality_form,
 )
 from .simplex import SimplexOptions, solve_simplex
@@ -87,7 +86,6 @@ __all__ = [
     "build_report",
     "constraint_residuals",
     "enumerate_basic_solutions",
-    "evaluate_objective",
     "find_interior_point",
     "ipm_trace_rows",
     "lana_instance",

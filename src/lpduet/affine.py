@@ -28,14 +28,7 @@ from .errors import (
     UnboundedDirection,
 )
 from .linalg import as_matrix, as_vector, gram, solve_spd
-from .model import (
-    Solution,
-    StandardForm,
-    Status,
-    binding_rows,
-    native_objective,
-    structural_values,
-)
+from .model import Solution, StandardForm, Status, solution_at
 
 # Iterate budget for ||A x - b||, relative to 1 + ||b||.
 EQUALITY_RTOL = 1e-7
@@ -239,7 +232,7 @@ def solve_affine(
         try:
             x_new = step(x, direction.d, opts.alpha, zero_tol)
         except UnboundedDirection:
-            return Solution(Status.UNBOUNDED, None, None, k, ()), trace
+            return solution_at(form, Status.UNBOUNDED, k), trace
         # Drift control: the multiplicative step preserves A x = b only up to
         # the projection residual, which compounds over hundreds of iterates
         # at large |b|; snap back before it can leave the budget.
@@ -263,11 +256,4 @@ def solve_affine(
             status = Status.OPTIMAL
             break
 
-    solution = Solution(
-        status,
-        structural_values(form, x),
-        native_objective(form, x),
-        iterations,
-        binding_rows(form, x),
-    )
-    return solution, trace
+    return solution_at(form, status, iterations, x), trace

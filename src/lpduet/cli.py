@@ -12,7 +12,6 @@ the simplex status when the two engines disagree.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import replace
@@ -21,7 +20,7 @@ from pathlib import Path
 from .affine import IpmOptions, solve_affine
 from .errors import InfeasibleInterior, LpError
 from .lp_format import lana_lp_path, parse_lp_text
-from .model import LPModel, Solution, Status, to_equality_form
+from .model import LPModel, Sense, Solution, Status, solution_at, to_equality_form
 from .reporting import (
     build_report,
     ipm_trace_rows,
@@ -39,34 +38,23 @@ _EXIT_CODES = {
 }
 
 
-def _step_fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("alpha must lie strictly between 0 and 1")
-    return value
+def _checked(options, field: str, parse):
+    """An argparse type: ``parse`` the flag's text, then let ``options``, an
+    options class, check its ``field`` value, so each range is defined once."""
 
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind}") from None
+        try:
+            options(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,11 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--method", choices=("simplex", "affine", "both"), default="both"
     )
-    solve.add_argument("--alpha", type=_step_fraction, default=IpmOptions.alpha,
-                       help="interior-point step fraction (0 < alpha < 1, capped at 0.95)")
-    solve.add_argument("--tol", type=_positive_float, default=IpmOptions.tol,
+    solve.add_argument("--alpha", type=_checked(IpmOptions, "alpha", float), default=IpmOptions.alpha,
+                       help="interior-point step fraction (0 < alpha < 1)")
+    solve.add_argument("--tol", type=_checked(IpmOptions, "tol", float), default=IpmOptions.tol,
                        help="interior-point convergence tolerance (positive)")
-    solve.add_argument("--max-iter", type=_positive_int, default=None,
+    solve.add_argument("--max-iter", type=_checked(IpmOptions, "max_iter", int), default=None,
                        help="iteration cap for both engines (positive)")
     solve.add_argument("--trace", metavar="PATH", default=None,
                        help="write an iteration trace CSV")
@@ -98,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _options(ns) -> dict:
-    """Engine options by method, from the solve flags; --alpha is capped at 0.95."""
-    ipm = IpmOptions(alpha=min(ns.alpha, 0.95), tol=ns.tol)
+    """Engine options by method, from the solve flags."""
+    ipm = IpmOptions(alpha=ns.alpha, tol=ns.tol)
     if ns.max_iter is None:
         return {"simplex": SimplexOptions(), "affine": ipm}
     return {
@@ -110,26 +98,29 @@ def _options(ns) -> dict:
 
 def _run_simplex(model: LPModel, opts: SimplexOptions) -> tuple[Solution, list[tuple]]:
     rows: list[tuple] = []
+    sign = -1.0 if model.sense is Sense.MIN else 1.0
 
     def record(iteration, entering, leaving, obj_finite, _obj_m):
-        rows.append((iteration, obj_finite, entering, leaving))
+        # on_pivot reports the maximize sense; the trace uses the model's own.
+        rows.append((iteration, sign * obj_finite, entering, leaving))
 
     return solve_simplex(model, opts, on_pivot=record), rows
 
 
-def _run_affine(model: LPModel, opts: IpmOptions) -> tuple[Solution, list[tuple] | None]:
-    """The solution and trace rows; the rows are None when phase 1 finds no
-    interior point."""
+def _run_affine(model: LPModel, opts: IpmOptions) -> tuple[Solution, list[tuple]]:
     form = to_equality_form(model)
     try:
         solution, states = solve_affine(form, opts)
     except InfeasibleInterior as exc:
         print(f"warning: {exc}; reporting infeasible", file=sys.stderr)
-        return Solution(Status.INFEASIBLE, None, None, 0, ()), None
+        return solution_at(form, Status.INFEASIBLE, 0), []
     return solution, ipm_trace_rows(states, form)
 
 
 _ENGINES = {"simplex": _run_simplex, "affine": _run_affine}
+# Why an engine leaves no trace rows: the affine trace always holds the
+# phase-1 point, and the simplex records one row per pivot.
+_NO_TRACE = {"simplex": "the simplex made no pivot", "affine": "phase 1 found no interior point"}
 
 
 def _trace_path(base: str, method: str, both: bool) -> Path:
@@ -174,11 +165,10 @@ def _cmd_solve(ns) -> int:
     print(text, end="\n" if ns.json else "")  # human reports already end in a newline
     if ns.trace:
         for method, rows in zip(methods, traces):
-            if rows is None:
-                print(f"warning: no {method} trace written: phase 1 found no interior point",
-                      file=sys.stderr)
-            elif rows:
+            if rows:
                 write_iteration_trace(rows, _trace_path(ns.trace, method, len(methods) > 1))
+            else:
+                print(f"warning: no {method} trace written: {_NO_TRACE[method]}", file=sys.stderr)
     return _EXIT_CODES[reports[0]["status"]]
 
 

@@ -168,24 +168,13 @@ def build_model(sense, names, objective, constraints) -> LPModel:
     return LPModel(sense, names, objective, tuple(row_names), a, tuple(relations), np.abs(b))
 
 
-def evaluate_objective(model: LPModel, x) -> float:
-    """Objective value c . x in the model's native sense."""
-    x = as_vector(x)
-    if x.shape[0] != model.n_vars:
-        raise DimensionMismatch(
-            f"point has {x.shape[0]} entries for {model.n_vars} variables"
-        )
-    return float(model.objective @ x)
-
-
 class ResidualReport(NamedTuple):
     residuals: np.ndarray
     feasible: bool
-    binding: tuple[int, ...]
 
 
 def constraint_residuals(model: LPModel, x, tol: float = FEASIBILITY_TOL) -> ResidualReport:
-    """Per-row slack toward each constraint, plus feasibility and binding rows.
+    """Per-row slack toward each constraint, plus feasibility.
 
     Residuals are oriented so nonnegative means satisfied: rhs - lhs for <=,
     lhs - rhs for >=, and |lhs - rhs| for equalities (which must stay within
@@ -204,9 +193,7 @@ def constraint_residuals(model: LPModel, x, tol: float = FEASIBILITY_TOL) -> Res
     )
     row_tol = tol * (1.0 + model.b)
     satisfied = np.where(relations == Relation.EQ, residuals <= row_tol, residuals >= -row_tol)
-    feasible = bool(np.all(x >= -tol) and np.all(satisfied))
-    binding = np.flatnonzero(np.abs(residuals) <= row_tol)
-    return ResidualReport(residuals, feasible, tuple(binding.tolist()))
+    return ResidualReport(residuals, bool(np.all(x >= -tol) and np.all(satisfied)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,11 +293,11 @@ def to_big_m_form(model: LPModel) -> BigMForm:
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Result of one engine run.
+    """Result of one engine run; build it with solution_at.
 
     ``x`` holds the structural variables (None when the status carries no
-    point), ``objective`` is in the model's native sense, and ``binding``
-    lists original constraint indices whose residual is within tolerance.
+    point), ``objective`` is model.objective @ x in the model's native sense,
+    and ``binding`` lists the original rows that hold with equality.
     """
 
     status: Status
@@ -320,25 +307,24 @@ class Solution:
     binding: tuple[int, ...]
 
 
-def structural_values(form: StandardForm, x_full) -> np.ndarray:
-    """Extract the original variables from an equality-form point."""
-    return as_vector(x_full)[: form.n_structural].copy()
+def solution_at(
+    form: StandardForm, status: Status, iterations: int, x_full: np.ndarray | None = None
+) -> Solution:
+    """The Solution every engine reports for an equality-form point, or for none.
 
-
-def native_objective(form: StandardForm, x_full) -> float:
-    """Objective of an equality-form point, un-negated to the native sense."""
-    value = float(form.c @ np.asarray(x_full, dtype=float))
-    return -value if form.negated else value
-
-
-def binding_rows(form: StandardForm, x_full, tol: float = FEASIBILITY_TOL) -> tuple[int, ...]:
-    """Original row indices whose slack or surplus is within tolerance of zero.
-
-    Equality rows are always binding. The per-row tolerance is scaled by
-    (1 + |b_row|), matching constraint_residuals.
+    ``x`` is the structural block of ``x_full`` and ``objective`` is c . x in
+    the model's native sense, equal to model.objective @ x bit for bit.
+    Equality rows always bind; an inequality row binds when its slack or
+    surplus is within FEASIBILITY_TOL * (1 + |b_row|) of zero.
     """
+    if x_full is None:
+        return Solution(status, None, None, iterations, ())
+    n = form.n_structural
+    x = x_full[:n].copy()
+    value = float(form.c[:n] @ x)
+    # 0.0 - value negates exactly and, like a dot product, never gives -0.0.
+    objective = 0.0 - value if form.negated else value
     rows = form.slack_rows
-    slack = np.asarray(x_full, dtype=float)[form.n_structural :]
     binding = np.ones(form.n_rows, dtype=bool)
-    binding[rows] = np.abs(slack) <= tol * (1.0 + np.abs(form.b[rows]))
-    return tuple(np.flatnonzero(binding).tolist())
+    binding[rows] = np.abs(x_full[n:]) <= FEASIBILITY_TOL * (1.0 + np.abs(form.b[rows]))
+    return Solution(status, x, objective, iterations, tuple(np.flatnonzero(binding).tolist()))

@@ -21,7 +21,7 @@ from scipy.linalg import qr
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import TooLarge
-from .model import Solution, StandardForm, Status, binding_rows, native_objective, structural_values
+from .model import Solution, StandardForm, Status, solution_at
 
 MAX_BASES = 10**6
 SINGULAR_RTOL = 1e-10
@@ -113,7 +113,5 @@ def brute_force_optimum(form: StandardForm) -> Solution:
         if cand.feasible and (best is None or cand.objective > best.objective):
             best = cand
     if best is None:
-        return Solution(Status.INFEASIBLE, None, None, count, ())
-    x = best.x
-    return Solution(Status.OPTIMAL, structural_values(form, x), native_objective(form, x),
-                    count, binding_rows(form, x))
+        return solution_at(form, Status.INFEASIBLE, count)
+    return solution_at(form, Status.OPTIMAL, count, best.x)

@@ -17,16 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ZeroPivot
-from .model import (
-    BigMForm,
-    LPModel,
-    Solution,
-    Status,
-    constraint_residuals,
-    evaluate_objective,
-    structural_values,
-    to_big_m_form,
-)
+from .model import BigMForm, LPModel, Solution, Status, solution_at, to_big_m_form
 
 LARGEST_COEFFICIENT = "largest_coefficient"
 BLAND = "bland"
@@ -169,7 +160,8 @@ def solve_simplex(
     run, which prevents cycling.
 
     ``on_pivot``, when given, is called after every pivot with
-    (pivot_count, entering_col, leaving_col, objective_finite, objective_m).
+    (pivot_count, entering_col, leaving_col, objective_finite, objective_m),
+    the objective in the internal maximize sense.
     """
     opts = opts or SimplexOptions()
     form = to_big_m_form(model)
@@ -186,15 +178,12 @@ def solve_simplex(
     for _ in range(opts.max_pivots):
         enter = select_entering(t, effective)
         if enter is None:
-            if _artificial_level(t, art_cols) > art_tol:
-                return Solution(Status.INFEASIBLE, None, None, pivots, ())
             status = Status.OPTIMAL
             break
         leave = select_leaving(t, enter, effective)
         if leave is None:
-            if _artificial_level(t, art_cols) > art_tol:
-                return Solution(Status.INFEASIBLE, None, None, pivots, ())
-            return Solution(Status.UNBOUNDED, None, None, pivots, ())
+            status = Status.UNBOUNDED
+            break
         degenerate = t.rhs[leave] <= opts.pivot_tol * (1.0 + float(np.abs(t.rhs).max()))
         leaving_col = t.basis[leave]
         t = pivot(t, leave, enter, opts.pivot_tol)
@@ -205,14 +194,15 @@ def solve_simplex(
         if effective.anti_cycling != BLAND and degenerate_run >= 3 * m_rows:
             effective = replace(opts, anti_cycling=BLAND)
 
-    if status is Status.ITERATION_LIMIT and _artificial_level(t, art_cols) > art_tol:
-        # Never reached a feasible basis within the budget; report the limit
-        # without pretending the point means anything.
-        return Solution(Status.ITERATION_LIMIT, None, None, pivots, ())
-
+    base = form.base
+    if _artificial_level(t, art_cols) > art_tol:
+        # No feasible basis was reached: an optimal or unbounded stop proves
+        # infeasibility, and at the limit the point means nothing.
+        if status is not Status.ITERATION_LIMIT:
+            status = Status.INFEASIBLE
+        return solution_at(base, status, pivots)
+    if status is Status.UNBOUNDED:
+        return solution_at(base, status, pivots)
     x_full = np.zeros(form.a_full.shape[1])
     x_full[list(t.basis)] = np.where(t.rhs > 0.0, t.rhs, 0.0)
-    x = structural_values(form.base, x_full)
-    objective = evaluate_objective(model, x)
-    binding = constraint_residuals(model, x).binding
-    return Solution(status, x, objective, pivots, binding)
+    return solution_at(base, status, pivots, x_full[: base.n_cols])

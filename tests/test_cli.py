@@ -116,11 +116,12 @@ def test_usage_error_exit_code(capsys):
     assert run_cli(["solve"]) == 1
 
 
-def test_alpha_above_cap_is_clamped(tmp_path, capsys):
-    code = run_cli(
-        ["solve", write(tmp_path, TOY), "--method", "affine", "--alpha", "0.99"]
-    )
-    assert code == 0  # runs with the documented 0.95 cap
+def test_alpha_is_used_as_given(capsys):
+    code = run_cli(["solve", str(lana_lp_path()), "--method", "affine", "--alpha", "0.99", "--json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "optimal"
+    assert report["iterations"] == 7  # alpha 0.95 takes 9
 
 
 def test_alpha_outside_unit_interval_is_a_usage_error(tmp_path, capsys):
@@ -179,6 +180,18 @@ def test_simplex_trace_file(tmp_path, capsys):
     assert len(lines) == 3  # two pivots
 
 
+def test_simplex_trace_objective_is_in_the_model_sense(tmp_path, capsys):
+    model = write(tmp_path, "min: x + y;\nc: x + y >= 2;\nd: x <= 5;\n")
+    code = run_cli(["solve", model, "--json", "--trace", str(tmp_path / "run.csv")])
+    assert code == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["objective"] for r in reports] == [2.0, pytest.approx(2.0, rel=1e-6)]
+    simplex = (tmp_path / "run.simplex.csv").read_text().splitlines()
+    assert simplex == [SIMPLEX_TRACE_HEADER, "1,2.0,0,4"]
+    affine = (tmp_path / "run.affine.csv").read_text().splitlines()
+    assert float(affine[-1].split(",")[1]) == pytest.approx(2.0, rel=1e-6)
+
+
 def test_both_methods_trace_suffixing(tmp_path, capsys):
     target = tmp_path / "run.csv"
     code = run_cli(["solve", write(tmp_path, TOY), "--trace", str(target)])
@@ -197,6 +210,12 @@ def test_both_methods_trace_bytes_are_pinned(tmp_path, capsys):
     for method in ("simplex", "affine"):
         written = (tmp_path / f"run.{method}.csv").read_bytes()
         assert written == (DATA / f"toy_trace.{method}.csv").read_bytes()
+
+
+def test_lana_reports_are_pinned(capsys):
+    assert run_cli(["lana", "--json"]) == 0
+    pinned = json.loads((DATA / "lana_reports.json").read_text(encoding="utf-8"))
+    assert without_wall_time(capsys.readouterr().out) == pinned
 
 
 def _without_wall_time(text):
@@ -264,3 +283,14 @@ def test_missing_affine_trace_is_reported(tmp_path, capsys, method):
     )
     written = sorted(p.name for p in tmp_path.glob("run*.csv"))
     assert written == (["run.simplex.csv"] if method == "both" else [])
+
+
+def test_missing_simplex_trace_is_reported(tmp_path, capsys):
+    target = tmp_path / "run.csv"
+    code = run_cli(["solve", write(tmp_path, "max: -x;\nc: x <= 1;\n"), "--method", "simplex",
+                    "--trace", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "iterations: 0" in out
+    assert err == "warning: no simplex trace written: the simplex made no pivot\n"
+    assert not list(tmp_path.glob("run*.csv"))

@@ -11,19 +11,16 @@ from lpduet import (
     NonFiniteInput,
     Relation,
     Sense,
+    Status,
+    brute_force_optimum,
     build_model,
     constraint_residuals,
-    evaluate_objective,
     lana_instance,
+    solve_affine,
     solve_simplex,
     to_equality_form,
 )
-from lpduet.model import (
-    binding_rows,
-    native_objective,
-    structural_values,
-    to_big_m_form,
-)
+from lpduet.model import solution_at, to_big_m_form
 
 
 def toy_model():
@@ -102,11 +99,6 @@ def test_model_equality_is_structural():
     assert toy_model() != other
 
 
-def test_evaluate_objective():
-    m = toy_model()
-    assert evaluate_objective(m, np.array([2.0, 2.0])) == 10.0
-
-
 def test_lana_instance_census():
     m = lana_instance()
     assert m.sense is Sense.MAX
@@ -144,6 +136,10 @@ def test_to_equality_form_column_layout():
     assert np.count_nonzero(form.a[:, 6:]) == 15
 
 
+def binding_at(form, x_full):
+    return solution_at(form, Status.OPTIMAL, 0, np.array(x_full)).binding
+
+
 def test_to_equality_form_gives_equality_rows_no_column():
     m = build_model(
         Sense.MAX,
@@ -161,8 +157,8 @@ def test_to_equality_form_gives_equality_rows_no_column():
     npt.assert_array_equal(form.slack_rows, [1, 3])
     npt.assert_array_equal(form.a[:, 2:], [[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     # equality rows stay binding; an inequality row binds when its column is zero
-    assert binding_rows(form, np.array([2.0, 1.0, 1.0, 5.0])) == (0, 2)
-    assert binding_rows(form, np.array([2.0, 1.0, 0.0, 5.0])) == (0, 1, 2)
+    assert binding_at(form, [2.0, 1.0, 1.0, 5.0]) == (0, 2)
+    assert binding_at(form, [2.0, 1.0, 0.0, 5.0]) == (0, 1, 2)
     # the >= and = rows start on their artificials (columns 4-6), the <= row on its slack
     assert to_big_m_form(m).starting_basis() == (4, 5, 6, 3)
 
@@ -191,8 +187,9 @@ def test_equality_form_feasibility_transfer():
             for i in range(form.n_rows)
             if i not in owner or abs(x_full[owner[i]]) <= 1e-6 * (1.0 + abs(form.b[i]))
         )
-        assert binding_rows(form, x_full) == expected
-        npt.assert_array_equal(structural_values(form, x_full), x_full[:n])
+        solution = solution_at(form, Status.OPTIMAL, 0, x_full)
+        assert solution.binding == expected
+        npt.assert_array_equal(solution.x, x_full[:n])
         bm = to_big_m_form(m)
         artificial = {row: col for col, row in bm.artificial_cols}
         assert bm.starting_basis() == tuple(
@@ -218,15 +215,16 @@ def test_to_big_m_form_lana_structure():
 
 def test_constraint_residuals_reports_binding_rows():
     m = toy_model()
+    form = to_equality_form(m)
     report = constraint_residuals(m, np.array([2.0, 2.0]))
     assert report.feasible
-    assert report.binding == (0, 1)
     npt.assert_allclose(report.residuals, np.zeros(2), atol=1e-12)
+    assert binding_at(form, [2.0, 2.0, 0.0, 0.0]) == (0, 1)
 
     inside = constraint_residuals(m, np.array([1.0, 1.0]))
     assert inside.feasible
-    assert inside.binding == ()
     npt.assert_allclose(inside.residuals, np.array([2.0, 1.0]))
+    assert binding_at(form, [1.0, 1.0, 2.0, 1.0]) == ()
 
     outside = constraint_residuals(m, np.array([3.0, 3.0]))
     assert not outside.feasible
@@ -246,7 +244,6 @@ def test_constraint_residuals_equality_row():
     )
     on = constraint_residuals(m, np.array([1.0, 1.0]))
     assert on.feasible
-    assert 0 in on.binding
     off = constraint_residuals(m, np.array([1.0, 0.5]))
     assert not off.feasible
 
@@ -281,7 +278,8 @@ def test_constraint_residuals_matches_row_by_row_reference():
         if Relation.EQ not in m.relations:
             continue
         checked += 1
-        vertex = solve_simplex(m).x
+        solution = solve_simplex(m)
+        vertex = solution.x
         candidates = [
             vertex,  # feasible, with its binding rows
             vertex + points.uniform(-1e-9, 1e-9, m.n_vars),  # still within tolerance
@@ -289,19 +287,47 @@ def test_constraint_residuals_matches_row_by_row_reference():
             -vertex - 1.0,  # negative entries
         ]
         for x in candidates:
-            expected, feasible, binding = _residuals_row_by_row(m, x)
+            expected, feasible, _ = _residuals_row_by_row(m, x)
             report = constraint_residuals(m, x)
             npt.assert_allclose(report.residuals, expected, rtol=0.0, atol=1e-12)
             assert report.feasible == feasible
-            assert report.binding == binding
+        # the binding rows the simplex reports are those the reference finds
+        assert solution.binding == _residuals_row_by_row(m, vertex)[2]
         assert constraint_residuals(m, vertex).feasible
         assert not constraint_residuals(m, candidates[3]).feasible
 
 
-def test_structural_values_and_native_objective():
+def test_solution_at_reports_native_objective():
+    form = to_equality_form(toy_model())
+    solution = solution_at(form, Status.OPTIMAL, 2, np.array([2.0, 2.0, 0.0, 0.0]))
+    assert solution.status is Status.OPTIMAL and solution.iterations == 2
+    npt.assert_array_equal(solution.x, np.array([2.0, 2.0]))
+    assert solution.objective == 10.0
+
     m = build_model(Sense.MIN, ("x", "y"), (1.0, 1.0), [((1.0, 1.0), Relation.GE, 2.0)])
     form = to_equality_form(m)
-    x_full = np.array([1.5, 0.5, 0.0])
-    npt.assert_array_equal(structural_values(form, x_full), np.array([1.5, 0.5]))
-    assert native_objective(form, x_full) == 2.0
-    assert binding_rows(form, x_full) == (0,)
+    solution = solution_at(form, Status.OPTIMAL, 1, np.array([1.5, 0.5, 0.0]))
+    npt.assert_array_equal(solution.x, np.array([1.5, 0.5]))
+    assert solution.objective == 2.0
+    assert solution.binding == (0,)
+    # a MIN model at zero reports 0.0, as model.objective @ x does, not -0.0
+    assert repr(solution_at(form, Status.OPTIMAL, 0, np.zeros(3)).objective) == "0.0"
+
+    none = solution_at(form, Status.INFEASIBLE, 3)
+    assert (none.x, none.objective, none.iterations, none.binding) == (None, None, 3, ())
+
+
+def test_every_engine_reports_the_objective_of_its_point():
+    minimize = build_model(
+        Sense.MIN,
+        ("x", "y"),
+        (1.0, 1.0),
+        [((1.0, 1.0), Relation.GE, 2.0), ((1.0, 0.0), Relation.LE, 5.0)],
+    )
+    rng = rng_for(25)
+    models = [lana_instance(), toy_model(), minimize] + [random_bounded_lp(rng) for _ in range(30)]
+    for model in models:
+        form = to_equality_form(model)
+        for solution in (solve_simplex(model), solve_affine(form)[0], brute_force_optimum(form)):
+            assert solution.status is Status.OPTIMAL
+            assert solution.objective == float(model.objective @ solution.x)
