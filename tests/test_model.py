@@ -297,19 +297,26 @@ def test_constraint_residuals_matches_row_by_row_reference():
         assert not constraint_residuals(m, candidates[3]).feasible
 
 
-def test_solution_at_reports_native_objective():
+def test_evaluate_objective():
     form = to_equality_form(toy_model())
     solution = solution_at(form, Status.OPTIMAL, 2, np.array([2.0, 2.0, 0.0, 0.0]))
     assert solution.status is Status.OPTIMAL and solution.iterations == 2
     npt.assert_array_equal(solution.x, np.array([2.0, 2.0]))
     assert solution.objective == 10.0
 
+
+def test_structural_values_and_native_objective():
     m = build_model(Sense.MIN, ("x", "y"), (1.0, 1.0), [((1.0, 1.0), Relation.GE, 2.0)])
     form = to_equality_form(m)
     solution = solution_at(form, Status.OPTIMAL, 1, np.array([1.5, 0.5, 0.0]))
     npt.assert_array_equal(solution.x, np.array([1.5, 0.5]))
     assert solution.objective == 2.0
     assert solution.binding == (0,)
+
+
+def test_solution_at_reports_native_objective():
+    m = build_model(Sense.MIN, ("x", "y"), (1.0, 1.0), [((1.0, 1.0), Relation.GE, 2.0)])
+    form = to_equality_form(m)
     # a MIN model at zero reports 0.0, as model.objective @ x does, not -0.0
     assert repr(solution_at(form, Status.OPTIMAL, 0, np.zeros(3)).objective) == "0.0"
 
