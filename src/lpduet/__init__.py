@@ -14,7 +14,6 @@ from .errors import (
     NotInterior,
     NotPositiveDefinite,
     ParseError,
-    RankDeficient,
     TooLarge,
     UnboundedDirection,
     ZeroPivot,
@@ -69,7 +68,6 @@ __all__ = [
     "NotInterior",
     "NotPositiveDefinite",
     "ParseError",
-    "RankDeficient",
     "Relation",
     "ResidualReport",
     "SIMPLEX_TRACE_HEADER",

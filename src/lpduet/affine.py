@@ -19,16 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InfeasibleInterior,
-    NotInterior,
-    NotPositiveDefinite,
-    RankDeficient,
-    UnboundedDirection,
-)
+from .errors import DimensionMismatch, InfeasibleInterior, NotInterior, UnboundedDirection
 from .linalg import as_matrix, as_vector, gram, solve_spd
-from .model import Solution, StandardForm, Status, solution_at
+from .model import Solution, StandardForm, Status, independent_rows, solution_at
 
 # Iterate budget for ||A x - b||, relative to 1 + ||b||.
 EQUALITY_RTOL = 1e-7
@@ -83,8 +76,8 @@ def projected_direction(a, c, x) -> DirectionResult:
     solve_spd and returns d = c_tilde - Ahat^T y. One extra projection pass
     runs on the result (the projector is idempotent, so this changes nothing
     mathematically) to keep ||Ahat d|| at rounding level even when the normal
-    equations are badly scaled. A factorization failure, after one retry with
-    a trace-scaled ridge, means A has dependent rows: RankDeficient.
+    equations are badly scaled. NotPositiveDefinite means the rows of A diag(x)
+    are numerically dependent, though solve_affine dropped the dependent rows.
     """
     a = as_matrix(a)
     c = as_vector(c)
@@ -96,20 +89,9 @@ def projected_direction(a, c, x) -> DirectionResult:
     ahat = a * x[np.newaxis, :]
     c_tilde = c * x
     s = gram(ahat)
-    m = a.shape[0]
-
-    def _solve(rhs: np.ndarray) -> np.ndarray:
-        try:
-            return solve_spd(s, rhs)
-        except NotPositiveDefinite:
-            try:
-                return solve_spd(s, rhs, 1e-10 * float(np.trace(s)) / max(1, m))
-            except NotPositiveDefinite:
-                raise RankDeficient("scaled normal equations are not positive definite") from None
-
-    y1 = _solve(ahat @ c_tilde)
+    y1 = solve_spd(s, ahat @ c_tilde)
     d = c_tilde - ahat.T @ y1
-    y2 = _solve(ahat @ d)
+    y2 = solve_spd(s, ahat @ d)
     d = d - ahat.T @ y2
     return DirectionResult(d=d, dual_y=y1 + y2)
 
@@ -152,7 +134,7 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
     column carrying the residual b - A x_g at value 1, and runs the affine
     iteration with a large negative weight on that column until it drops
     below PHASE1_ART_TOL. Raises InfeasibleInterior when the artificial
-    cannot be driven out.
+    cannot be driven out. The rows of A have to be independent.
     """
     opts = opts or IpmOptions()
     a = form.a
@@ -208,17 +190,19 @@ def solve_affine(
 ) -> tuple[Solution, list[IpmState]]:
     """Run the affine-scaling iteration on an equality form.
 
-    Starts from the phase-1 point of find_interior_point. Stops at the first
-    of: scaled step norm below tol, relative objective change below tol, or
-    scaled complementarity below tol (optimal); an unblocked ascent ray
-    (unbounded); or max_iter (iteration limit). Returns the solution plus the
-    full iterate trace.
+    Runs on model.independent_rows(form) (InfeasibleInterior when the equality
+    rows are inconsistent) from the phase-1 point of find_interior_point.
+    Stops at the first of: scaled step norm below tol, relative objective
+    change below tol, or scaled complementarity below tol (optimal); an
+    unblocked ascent ray (unbounded); or max_iter (iteration limit). Returns
+    the solution plus the full iterate trace.
     """
     opts = opts or IpmOptions()
-    a = form.a
-    b = form.b
-    c = form.c
-    x = find_interior_point(form, opts)
+    kept = independent_rows(form)
+    if kept is None:
+        raise InfeasibleInterior("the equality rows have no common solution")
+    a, b, c = kept.a, kept.b, kept.c
+    x = find_interior_point(kept, opts)
 
     b_norm = float(np.linalg.norm(b))
     budget = EQUALITY_RTOL * (1.0 + b_norm)

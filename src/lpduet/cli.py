@@ -120,7 +120,7 @@ def _run_affine(model: LPModel, opts: IpmOptions) -> tuple[Solution, list[tuple]
 _ENGINES = {"simplex": _run_simplex, "affine": _run_affine}
 # Why an engine leaves no trace rows: the affine trace always holds the
 # phase-1 point, and the simplex records one row per pivot.
-_NO_TRACE = {"simplex": "the simplex made no pivot", "affine": "phase 1 found no interior point"}
+_NO_TRACE = {"simplex": "the simplex made no pivot", "affine": "no interior point was found"}
 
 
 def _trace_path(base: str, method: str, both: bool) -> Path:
@@ -166,7 +166,12 @@ def _cmd_solve(ns) -> int:
     if ns.trace:
         for method, rows in zip(methods, traces):
             if rows:
-                write_iteration_trace(rows, _trace_path(ns.trace, method, len(methods) > 1))
+                target = _trace_path(ns.trace, method, len(methods) > 1)
+                try:
+                    write_iteration_trace(rows, target)
+                except OSError as exc:
+                    print(f"error: cannot write trace {target}: {exc}", file=sys.stderr)
+                    return 1
             else:
                 print(f"warning: no {method} trace written: {_NO_TRACE[method]}", file=sys.stderr)
     return _EXIT_CODES[reports[0]["status"]]

@@ -20,12 +20,9 @@ class NonFiniteInput(LpError):
 class NotPositiveDefinite(LpError):
     """Factorization hit a nonpositive pivot; the matrix is not SPD.
 
-    Callers treat this as the rank-deficiency signal for A A^T systems.
+    In the affine engine it means equality rows nearly dependent, though not
+    within the row drop's tolerance, made the normal equations singular.
     """
-
-
-class RankDeficient(LpError):
-    """Constraint matrix does not have full row rank."""
 
 
 class NotInterior(LpError):

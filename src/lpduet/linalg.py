@@ -35,12 +35,11 @@ def gram(a) -> np.ndarray:
     return np.triu(g) + np.triu(g, 1).T
 
 
-def solve_spd(s, b, ridge: float = 0.0) -> np.ndarray:
-    """Solve (S + ridge*I) x = b for symmetric positive definite S.
+def solve_spd(s, b) -> np.ndarray:
+    """Solve S x = b for symmetric positive definite S.
 
     The system is factored once (Cholesky) and never inverted. Only the lower
-    triangle of S is read. A nonpositive pivot raises NotPositiveDefinite,
-    which callers read as rank deficiency of the underlying constraint matrix.
+    triangle of S is read. A nonpositive pivot raises NotPositiveDefinite.
     """
     s = as_matrix(s)
     b = as_vector(b)
@@ -51,12 +50,8 @@ def solve_spd(s, b, ridge: float = 0.0) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix is {n}x{n} but right-hand side has {b.shape[0]} entries"
         )
-    if ridge < 0.0:
-        raise ValueError("ridge must be nonnegative")
-
-    work = s if ridge == 0.0 else s + ridge * np.eye(n)
     try:
-        factor = cho_factor(work, lower=True, check_finite=False)
+        factor = cho_factor(s, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
     return cho_solve(factor, b, check_finite=False)

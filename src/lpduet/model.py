@@ -10,7 +10,7 @@ it and records a flag so reported objectives can be un-negated at the boundary.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -44,6 +44,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Default feasibility tolerance, scaled per row by (1 + |rhs|).
 FEASIBILITY_TOL = 1e-6
+# Singular values and LU pivots below this times the largest count as zero.
+SINGULAR_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,6 +242,36 @@ def to_equality_form(model: LPModel) -> StandardForm:
     negated = model.sense is Sense.MIN
     c[:n] = -model.objective if negated else model.objective
     return StandardForm(a, model.b.copy(), c, n, slack_rows, negated)
+
+
+def independent_rows(form: StandardForm) -> StandardForm | None:
+    """The form on a maximal independent set of its rows (the form itself when
+    none is dependent), or None when its equality rows are inconsistent.
+
+    Only equality rows are tested (an inequality row owns its slack or surplus
+    column), each scaled to a largest entry of 1. A dropped row must hold within
+    FEASIBILITY_TOL * (1 + |b_row|) at the kept rows' least-squares solution.
+    """
+    eq = np.setdiff1d(np.arange(form.n_rows), form.slack_rows)
+    if eq.size == 0:
+        return form
+    scale = np.abs(form.a[eq]).max(axis=1, keepdims=True)
+    a = form.a[eq] / np.where(scale > 0.0, scale, 1.0)
+    s = np.linalg.svd(a, compute_uv=False)
+    rank = int(np.count_nonzero(s > SINGULAR_RTOL * s[0]))
+    if rank == eq.size:
+        return form
+    from scipy.linalg import qr
+
+    _, _, piv = qr(a.T, mode="economic", pivoting=True)
+    kept, dropped = eq[piv[:rank]], eq[piv[rank:]]
+    x = np.linalg.lstsq(form.a[kept], form.b[kept], rcond=None)[0]
+    gap = np.abs(form.a[dropped] @ x - form.b[dropped])
+    if np.any(gap > FEASIBILITY_TOL * (1.0 + np.abs(form.b[dropped]))):
+        return None
+    keep = np.sort(np.concatenate([form.slack_rows, kept]))
+    slack_rows = np.searchsorted(keep, form.slack_rows)
+    return replace(form, a=form.a[keep], b=form.b[keep], slack_rows=slack_rows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,9 +4,10 @@ Exponential by design; the subset budget keeps it honest. Used to cross-check
 both engines on small instances and on the bundled LANA model (C(21,15) =
 54,264 bases). The budget is tested before the rank, which lies between the
 count of slack and surplus columns (unit vectors on distinct rows) and the row
-count. Subsets are gathered 64 at a time and each is factored in place by
-LAPACK's partial-pivoting LU; one is nonsingular, and solved, when its largest
-entry is nonzero and no LU pivot falls below SINGULAR_RTOL times that entry.
+count. Dependent equality rows are dropped by model.independent_rows. Subsets
+are gathered 64 at a time and each is factored in place by LAPACK's
+partial-pivoting LU; one is nonsingular, and solved, when its largest entry is
+nonzero and no LU pivot falls below SINGULAR_RTOL times that entry.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import qr
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import TooLarge
-from .model import Solution, StandardForm, Status, solution_at
+from .model import SINGULAR_RTOL, Solution, StandardForm, Status, independent_rows, solution_at
 
 MAX_BASES = 10**6
-SINGULAR_RTOL = 1e-10
 FEASIBLE_TOL = 1e-9
 _BATCH = 64  # larger batches only raise the peak memory
 # scipy.linalg.lu_factor/lu_solve's LAPACK kernels without their per-call
@@ -45,18 +44,6 @@ class BasicSolution:
     objective: float
 
 
-def _independent_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Indices of a maximal independent row set, or None when A x = b has
-    no solution at all (b outside the row space's reach)."""
-    rank = int(np.linalg.matrix_rank(a))
-    if rank == a.shape[0]:
-        return np.arange(a.shape[0])
-    if int(np.linalg.matrix_rank(np.column_stack([a, b]))) > rank:
-        return None
-    _, _, piv = qr(a.T, mode="economic", pivoting=True)
-    return np.sort(piv[:rank])
-
-
 def enumerate_basic_solutions(form: StandardForm) -> Iterator[BasicSolution]:
     """Yield a BasicSolution for every nonsingular basis-sized column subset.
 
@@ -69,11 +56,11 @@ def enumerate_basic_solutions(form: StandardForm) -> Iterator[BasicSolution]:
     n = form.a.shape[1]
     if all(math.comb(n, k) > MAX_BASES for k in range(len(form.slack_rows), form.n_rows + 1)):
         raise TooLarge(f"more than {MAX_BASES} candidate bases for every possible rank")
-    rows = _independent_rows(form.a, form.b)
-    if rows is None:
+    kept = independent_rows(form)
+    if kept is None:
         return
-    a = form.a[rows].astype(np.float64, copy=False)  # dgetrf works in place on float64
-    b = form.b[rows]
+    a = kept.a.astype(np.float64, copy=False)  # dgetrf works in place on float64
+    b = kept.b
     m = a.shape[0]
     if m == 0:
         # A is (numerically) zero and b consistent: only the origin is basic.

@@ -97,6 +97,26 @@ def random_unbounded_lp(rng: np.random.Generator) -> LPModel:
     return build_model(Sense.MAX, names, rng.uniform(0.5, 3.0, n), rows)
 
 
+def near_duplicate_rows_lp(rng: np.random.Generator, eps: float) -> LPModel:
+    """A feasible bounded LP of 2-5 variables with a sum cap and two equality
+    rows, e2 a copy of e1 with each coefficient perturbed by relative eps.
+
+    Both rows hold at a strictly positive witness point, so e2 stays
+    consistent with e1; at eps = 0 the two rows are identical.
+    """
+    n = int(rng.integers(2, 6))
+    witness = rng.uniform(0.5, 3.0, n)
+    e1 = rng.uniform(0.5, 2.0, n)
+    e2 = e1 * (1.0 + eps * rng.uniform(-1.0, 1.0, n))
+    rows = [
+        ("cap", np.ones(n), Relation.LE, float(witness.sum() * rng.uniform(1.5, 3.0))),
+        ("e1", e1, Relation.EQ, float(e1 @ witness)),
+        ("e2", e2, Relation.EQ, float(e2 @ witness)),
+    ]
+    names = tuple(f"x{j + 1}" for j in range(n))
+    return build_model(Sense.MAX, names, rng.uniform(-3.0, 3.0, n), rows)
+
+
 @pytest.fixture(scope="session")
 def lana():
     return lana_instance()

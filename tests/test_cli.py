@@ -279,7 +279,7 @@ def test_missing_affine_trace_is_reported(tmp_path, capsys, method):
     assert "no affine trace written" not in plain_err
     assert err.startswith(plain_err)
     assert err[len(plain_err):] == (
-        "warning: no affine trace written: phase 1 found no interior point\n"
+        "warning: no affine trace written: no interior point was found\n"
     )
     written = sorted(p.name for p in tmp_path.glob("run*.csv"))
     assert written == (["run.simplex.csv"] if method == "both" else [])
@@ -294,3 +294,54 @@ def test_missing_simplex_trace_is_reported(tmp_path, capsys):
     assert "iterations: 0" in out
     assert err == "warning: no simplex trace written: the simplex made no pivot\n"
     assert not list(tmp_path.glob("run*.csv"))
+
+
+@pytest.mark.parametrize("method", ["simplex", "affine", "both"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_trace_is_an_error_not_a_traceback(tmp_path, capsys, where, method):
+    target = tmp_path / "no" / "t.csv"
+    if where == "a-directory":
+        target = tmp_path / "t.csv"
+        for path in (target, tmp_path / "t.simplex.csv"):
+            path.mkdir()
+    code = run_cli(["solve", str(lana_lp_path()), "--method", method, "--trace", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.count("status:     optimal") == (2 if method == "both" else 1)  # reports first
+    assert err.startswith("error: cannot write trace ")
+    assert "Traceback" not in err
+
+
+# Dependent equality rows: both engines solve on one copy of the row.
+DUPLICATE_ROWS = (
+    "max: 3x + 2y + z;\n"
+    "e1: 1000x + 1000y + 1000z = 4000000;\n"
+    "e2: 1000x + 1000y + 1000z = 4000000;\n"
+    "c: x <= 2000;\n"
+)
+
+
+def test_duplicated_equality_row_is_solved_by_both_engines(tmp_path, capsys):
+    code = run_cli(["solve", write(tmp_path, DUPLICATE_ROWS), "--json"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    simplex, affine = json.loads(out)
+    assert simplex["status"] == affine["status"] == "optimal"
+    assert simplex["objective"] == pytest.approx(10_000.0, rel=1e-9)
+    assert affine["objective"] == pytest.approx(10_000.0, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "text, code, status",
+    [
+        ("max: x;\nz: 0 x = 0;\n", 3, "unbounded"),
+        ("max: x + y;\ne1: x + y = 2;\ne2: 2x + 2y = 5;\n", 2, "infeasible"),
+        ("max: x;\ne1: x = 100000000;\ne2: x = 100100000;\n", 2, "infeasible"),
+    ],
+    ids=["zero-row", "inconsistent-rows", "inconsistent-large-rhs"],
+)
+def test_dependent_rows_status_from_both_engines(tmp_path, capsys, text, code, status):
+    assert run_cli(["solve", write(tmp_path, text), "--json"]) == code
+    out, err = capsys.readouterr()
+    assert [r["status"] for r in json.loads(out)] == [status, status]
+    assert "Traceback" not in err

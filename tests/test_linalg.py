@@ -59,15 +59,6 @@ def test_solve_spd_rejects_indefinite_matrix():
         solve_spd(s, np.ones(2))
 
 
-def test_solve_spd_rejects_nonsquare_and_negative_ridge():
+def test_solve_spd_rejects_nonsquare():
     with pytest.raises(DimensionMismatch):
         solve_spd(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        solve_spd(np.eye(2), np.ones(2), ridge=-1.0)
-
-
-def test_solve_spd_ridge_shifts_the_system():
-    s = np.array([[2.0, 0.0], [0.0, 4.0]])
-    b = np.array([1.0, 1.0])
-    x = solve_spd(s, b, ridge=1.0)
-    npt.assert_allclose(x, np.array([1.0 / 3.0, 1.0 / 5.0]), rtol=1e-12)

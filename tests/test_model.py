@@ -20,7 +20,7 @@ from lpduet import (
     solve_simplex,
     to_equality_form,
 )
-from lpduet.model import solution_at, to_big_m_form
+from lpduet.model import independent_rows, solution_at, to_big_m_form
 
 
 def toy_model():
@@ -134,6 +134,57 @@ def test_to_equality_form_column_layout():
         assert sign == (1.0 if model.relations[i] is Relation.LE else -1.0)
     # each added column has exactly one nonzero entry
     assert np.count_nonzero(form.a[:, 6:]) == 15
+
+
+@pytest.mark.parametrize("factor", [1e6, 1e-12])
+def test_independent_rows_keeps_scaled_rows_and_drops_near_copies(factor):
+    # e2 is independent of e1 at any scale; e3 is e1 to 1e-14 relative
+    witness = np.array([1.0, 2.0, 0.5])
+    e1 = np.array([1.0, 2.0, 0.5])
+    e2 = factor * np.array([2.0, 1.0, 1.0])
+    e3 = e1 * (1.0 + 1e-14 * np.array([1.0, -1.0, 0.5]))
+    rows = [(e1, Relation.EQ, e1 @ witness), (np.ones(3), Relation.LE, 10.0),
+            (e2, Relation.EQ, e2 @ witness), (e3, Relation.EQ, e3 @ witness)]
+    form = to_equality_form(build_model(Sense.MAX, ("x", "y", "z"), np.ones(3), rows))
+    kept = independent_rows(form)
+    rows = [next(i for i in range(4) if np.array_equal(row, form.a[i])) for row in kept.a]
+    assert rows in ([0, 1, 2], [1, 2, 3])  # the cap, e2, and one of e1 and e3
+    npt.assert_array_equal(kept.b, form.b[rows])
+    npt.assert_array_equal(kept.slack_rows, [rows.index(1)])
+    assert kept.c is form.c and kept.n_structural == 3
+
+
+def test_independent_rows_copies_nothing_when_no_row_drops():
+    lana = to_equality_form(lana_instance())  # no equality rows: no rank is taken
+    assert independent_rows(lana) is lana
+    form = to_equality_form(random_bounded_lp(rng_for(1300)))  # two equality rows
+    assert form.n_rows - len(form.slack_rows) == 2
+    assert independent_rows(form) is form
+
+
+def test_independent_rows_refuses_inconsistent_rows():
+    rows = [((1.0, 1.0), Relation.EQ, 2.0), ((2.0, 2.0), Relation.EQ, 5.0),
+            ((1.0, 0.0), Relation.LE, 1.0)]
+    form = to_equality_form(build_model(Sense.MAX, ("x", "y"), (1.0, 1.0), rows))
+    assert independent_rows(form) is None
+    zero = to_equality_form(build_model(Sense.MAX, ("x",), (1.0,), [((0.0,), Relation.EQ, 1.0)]))
+    assert independent_rows(zero) is None
+
+
+@pytest.mark.parametrize("rhs", [1e6, 1e8])
+def test_independent_rows_judges_copies_by_the_feasibility_tolerance(rhs):
+    # the copies are one row; their rhs must agree to 1e-6 * (1 + |rhs|)
+    def form(*rows):
+        return to_equality_form(build_model(Sense.MAX, ("x", "y"), (1.0, 1.0), rows))
+
+    big = ((0.0, 1.0), Relation.EQ, 1e8)
+    assert independent_rows(form(((1.0, 0.0), Relation.EQ, rhs),
+                                 ((1.0, 0.0), Relation.EQ, rhs * (1 + 1e-5)))) is None
+    assert independent_rows(form(big, ((1.0, 0.0), Relation.EQ, 1.0),
+                                 ((1.0, 0.0), Relation.EQ, 1.001))) is None
+    kept = independent_rows(form(big, ((1.0, 0.0), Relation.EQ, rhs),
+                                 ((1.0, 0.0), Relation.EQ, rhs * (1 + 1e-8))))
+    assert kept.n_rows == 2
 
 
 def binding_at(form, x_full):

@@ -10,8 +10,15 @@ import pytest
 import scipy.linalg
 
 import lpduet.oracle
-from conftest import rng_for, random_bounded_lp, random_infeasible_lp, random_unbounded_lp
+from conftest import (
+    near_duplicate_rows_lp,
+    rng_for,
+    random_bounded_lp,
+    random_infeasible_lp,
+    random_unbounded_lp,
+)
 from lpduet import (
+    InfeasibleInterior,
     Relation,
     Sense,
     Status,
@@ -20,9 +27,11 @@ from lpduet import (
     build_model,
     enumerate_basic_solutions,
     lana_instance,
+    solve_affine,
     solve_simplex,
     to_equality_form,
 )
+from lpduet.model import independent_rows
 
 
 def toy_form():
@@ -67,10 +76,10 @@ def reference_basic_solutions(form):
     """The oracle's kernel before batching: one subset at a time through
     scipy.linalg.lu_factor/lu_solve, with the same row drop and pivot rule."""
     n = form.n_cols
-    rows = lpduet.oracle._independent_rows(form.a, form.b)
-    if rows is None:
+    kept = independent_rows(form)
+    if kept is None:
         return
-    a, b = form.a[rows], form.b[rows]
+    a, b = kept.a, kept.b
     if a.shape[0] == 0:
         yield (), np.zeros(n), True, 0.0
         return
@@ -161,7 +170,7 @@ def test_budget_is_tested_before_the_rank(monkeypatch):
     def no_rank(*args, **kwargs):
         raise AssertionError("the rank was computed")
 
-    monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+    monkeypatch.setattr(np.linalg, "svd", no_rank)
     with pytest.raises(TooLarge):
         brute_force_optimum(form)
 
@@ -264,6 +273,10 @@ def test_brute_force_handles_redundant_equality_rows():
     assert sol.status is Status.OPTIMAL
     npt.assert_allclose(sol.objective, 2.0)
     assert solve_simplex(m).status is Status.OPTIMAL
+    interior, _ = solve_affine(to_equality_form(m))
+    assert interior.status is Status.OPTIMAL
+    assert interior.binding == (0, 1, 2)  # every copy of the row binds
+    npt.assert_allclose(interior.objective, 2.0, rtol=1e-6)
 
 
 def test_brute_force_detects_contradictory_equality_rows():
@@ -272,6 +285,31 @@ def test_brute_force_detects_contradictory_equality_rows():
     assert list(enumerate_basic_solutions(form)) == []
     assert brute_force_optimum(form).status is Status.INFEASIBLE
     assert solve_simplex(m).status is Status.INFEASIBLE
+    with pytest.raises(InfeasibleInterior):
+        solve_affine(form)
+
+
+@pytest.mark.parametrize("rhs", [1e6, 1e8])
+def test_copies_with_large_rhs_apart_by_1e5_relative_are_infeasible(rhs):
+    rows = [((1.0,), Relation.EQ, rhs), ((1.0,), Relation.EQ, rhs * (1 + 1e-5))]
+    form = to_equality_form(build_model(Sense.MAX, ("x",), (1.0,), rows))
+    assert list(enumerate_basic_solutions(form)) == []
+    assert brute_force_optimum(form).status is Status.INFEASIBLE
+    with pytest.raises(InfeasibleInterior):
+        solve_affine(form)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-14])
+def test_oracle_and_affine_agree_on_near_duplicate_rows(eps):
+    # rows this close are one row to both; the oracle keeps one copy and so
+    # still finds bases, and the affine engine keeps its normal equations SPD
+    for i in range(10):
+        form = to_equality_form(near_duplicate_rows_lp(rng_for(6000 + i), eps))
+        oracle = brute_force_optimum(form)
+        interior, _ = solve_affine(form)
+        assert oracle.status is Status.OPTIMAL, i
+        assert interior.status is Status.OPTIMAL, i
+        assert abs(interior.objective - oracle.objective) <= 1e-5 * max(1.0, abs(oracle.objective)), i
 
 
 def test_brute_force_minimization_sense():
