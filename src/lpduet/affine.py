@@ -9,7 +9,9 @@ the nearest coordinate wall in scaled space:
 
 so the smallest scaled component lands exactly at 1 - alpha and the iterate
 stays strictly positive. The projector is never materialized; P v is computed
-as v - Ahat^T solve_spd(Ahat Ahat^T, Ahat v).
+as v - Ahat^T y with (Ahat Ahat^T) y = Ahat v. Each direction factors the
+normal matrix once (one LAPACK Cholesky, reading the upper triangle of the raw
+product Ahat Ahat^T) and solves it twice from that factor.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleInterior, NotInterior, UnboundedDirection
-from .linalg import as_matrix, as_vector, gram, solve_spd
+from .linalg import as_matrix, as_vector, cholesky, gram, solve_spd
 from .model import Solution, StandardForm, Status, independent_rows, solution_at
 
 # Iterate budget for ||A x - b||, relative to 1 + ||b||.
@@ -72,12 +74,15 @@ class DirectionResult:
 def projected_direction(a, c, x) -> DirectionResult:
     """Project the scaled objective onto the nullspace of A diag(x).
 
-    Solves the normal equations (Ahat Ahat^T) y = Ahat c_tilde through
-    solve_spd and returns d = c_tilde - Ahat^T y. One extra projection pass
-    runs on the result (the projector is idempotent, so this changes nothing
-    mathematically) to keep ||Ahat d|| at rounding level even when the normal
-    equations are badly scaled. NotPositiveDefinite means the rows of A diag(x)
-    are numerically dependent, though solve_affine dropped the dependent rows.
+    Factors the normal matrix Ahat Ahat^T once (cholesky on gram's raw
+    product), solves (Ahat Ahat^T) y = Ahat c_tilde from that factor and
+    returns d = c_tilde - Ahat^T y. One extra projection pass, a second solve
+    from the same factor, runs on the result (the projector is idempotent, so
+    this changes nothing mathematically) to keep ||Ahat d|| at rounding level
+    even when the normal equations are badly scaled. With no rows, d is
+    c_tilde and dual_y is empty. NotPositiveDefinite means the rows of
+    A diag(x) are numerically dependent, though solve_affine dropped the
+    dependent rows.
     """
     a = as_matrix(a)
     c = as_vector(c)
@@ -88,10 +93,10 @@ def projected_direction(a, c, x) -> DirectionResult:
         raise NotInterior("scaling point must be strictly positive")
     ahat = a * x[np.newaxis, :]
     c_tilde = c * x
-    s = gram(ahat)
-    y1 = solve_spd(s, ahat @ c_tilde)
+    factor = cholesky(gram(ahat))
+    y1 = solve_spd(factor, ahat @ c_tilde)
     d = c_tilde - ahat.T @ y1
-    y2 = solve_spd(s, ahat @ d)
+    y2 = solve_spd(factor, ahat @ d)
     d = d - ahat.T @ y2
     return DirectionResult(d=d, dual_y=y1 + y2)
 
@@ -122,7 +127,7 @@ def step(x, d, alpha: float, zero_tol: float = 0.0) -> np.ndarray:
 def _least_squares_snap(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm correction of x onto A x = b; caller checks positivity."""
     resid = b - a @ x
-    y = solve_spd(gram(a), resid)
+    y = solve_spd(cholesky(gram(a)), resid)
     return x + a.T @ y
 
 

@@ -6,7 +6,8 @@
 
 Exit codes: 0 optimal, 2 infeasible, 3 unbounded, 4 iteration limit,
 1 usage, parse or internal error. With --method both the exit code follows
-the simplex status when the two engines disagree.
+the simplex status when the two engines disagree. An engine that raises
+leaves the reports of the others printed, then one error line, and exit 1.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from .affine import IpmOptions, solve_affine
 from .errors import InfeasibleInterior, LpError
+from .linalg import load_lapack
 from .lp_format import lana_lp_path, parse_lp_text
 from .model import LPModel, Sense, Solution, Status, solution_at, to_equality_form
 from .reporting import (
@@ -145,26 +147,30 @@ def _cmd_solve(ns) -> int:
 
     methods = ("simplex", "affine") if ns.method == "both" else (ns.method,)
     opts = _options(ns)
-    reports, traces = [], []
-    try:
-        for method in methods:
-            start = time.perf_counter()
-            solution, rows = _ENGINES[method](model, opts[method])
-            elapsed_ms = 1e3 * (time.perf_counter() - start)
-            reports.append(build_report(method, model, solution, elapsed_ms))
-            traces.append(rows)
-    except LpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if "affine" in methods:
+        load_lapack()  # the affine wall time then leaves out importing scipy.linalg
+    reports, traces, errors = [], {}, []
+    for method in methods:
+        start = time.perf_counter()
+        try:
+            solution, traces[method] = _ENGINES[method](model, opts[method])
+        except LpError as exc:
+            errors.append(f"error: {method}: {exc}")
+            continue
+        elapsed_ms = 1e3 * (time.perf_counter() - start)
+        reports.append(build_report(method, model, solution, elapsed_ms))
 
     fmt = "json" if ns.json else "human"
-    if len(reports) == 1:
-        text = write_solution_report(reports[0], fmt, model)
-    else:
-        text = write_report_pair(*reports, fmt, model)
-    print(text, end="\n" if ns.json else "")  # human reports already end in a newline
+    if reports:
+        if len(reports) == 1:
+            text = write_solution_report(reports[0], fmt, model)
+        else:
+            text = write_report_pair(*reports, fmt, model)
+        print(text, end="\n" if ns.json else "")  # human reports already end in a newline
+    for line in errors:
+        print(line, file=sys.stderr)
     if ns.trace:
-        for method, rows in zip(methods, traces):
+        for method, rows in traces.items():
             if rows:
                 target = _trace_path(ns.trace, method, len(methods) > 1)
                 try:
@@ -174,7 +180,7 @@ def _cmd_solve(ns) -> int:
                     return 1
             else:
                 print(f"warning: no {method} trace written: {_NO_TRACE[method]}", file=sys.stderr)
-    return _EXIT_CODES[reports[0]["status"]]
+    return 1 if errors else _EXIT_CODES[reports[0]["status"]]
 
 
 def run_cli(argv=None) -> int:

@@ -1,11 +1,27 @@
-"""Dense kernels shared by both engines: input coercion, Gram matrices, SPD solves."""
+"""Dense kernels shared by both engines: input coercion, Gram matrices, SPD solves.
+
+The SPD kernels are LAPACK's dpotrf/dpotrs called directly: a matrix is
+factored once by ``cholesky`` and each right-hand side is solved from that
+factor by ``solve_spd``. scipy.linalg is imported on the first factorization,
+so importing lpduet and parsing LP text do not load it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
+
+# scipy.linalg.lapack's dpotrf and dpotrs, bound by load_lapack on first use.
+_potrf = _potrs = None
+
+
+def load_lapack() -> None:
+    """Import scipy.linalg's LAPACK kernels now rather than on the first solve."""
+    global _potrf, _potrs
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    _potrf, _potrs = dpotrf, dpotrs
 
 
 def as_vector(x) -> np.ndarray:
@@ -29,29 +45,46 @@ def as_matrix(a) -> np.ndarray:
 
 
 def gram(a) -> np.ndarray:
-    """A A^T, mirrored from its upper triangle so it is symmetric entry for entry."""
+    """The raw product A A^T, not mirrored: ``cholesky`` reads only its upper
+    triangle."""
     a = as_matrix(a)
-    g = a @ a.T
-    return np.triu(g) + np.triu(g, 1).T
+    return a @ a.T
 
 
-def solve_spd(s, b) -> np.ndarray:
-    """Solve S x = b for symmetric positive definite S.
+def cholesky(s) -> np.ndarray:
+    """Cholesky factor of a symmetric positive definite S, for ``solve_spd``.
 
-    The system is factored once (Cholesky) and never inverted. Only the lower
-    triangle of S is read. A nonpositive pivot raises NotPositiveDefinite.
+    Only the upper triangle of S is read: LAPACK factors the lower triangle of
+    the transposed view S^T. A nonpositive pivot raises NotPositiveDefinite.
+    The factor is the lower triangle of the result, in Fortran order; the
+    strict upper triangle is left as it was and never read.
     """
     s = as_matrix(s)
-    b = as_vector(b)
-    n = s.shape[0]
     if s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"matrix of shape {s.shape} is not square")
+    if _potrf is None:
+        load_lapack()
+    factor, info = _potrf(s.T, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return factor
+
+
+def solve_spd(factor: np.ndarray, b) -> np.ndarray:
+    """Solve S x = b from S's ``cholesky`` factor; S is never inverted.
+
+    A system with no rows has the empty solution.
+    """
+    b = as_vector(b)
+    n = factor.shape[0]
     if b.shape[0] != n:
         raise DimensionMismatch(
             f"matrix is {n}x{n} but right-hand side has {b.shape[0]} entries"
         )
-    try:
-        factor = cho_factor(s, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-    return cho_solve(factor, b, check_finite=False)
+    if n == 0:
+        return np.zeros(0)  # LAPACK's wrapper rejects a 0 x 0 system
+    if _potrs is None:
+        load_lapack()
+    return _potrs(factor, b, lower=1)[0]

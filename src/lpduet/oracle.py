@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import TooLarge
 from .model import SINGULAR_RTOL, Solution, StandardForm, Status, independent_rows, solution_at
@@ -26,11 +25,33 @@ from .model import SINGULAR_RTOL, Solution, StandardForm, Status, independent_ro
 MAX_BASES = 10**6
 FEASIBLE_TOL = 1e-9
 _BATCH = 64  # larger batches only raise the peak memory
-# scipy.linalg.lu_factor/lu_solve's LAPACK kernels without their per-call
-# dispatch, kept under these names and called once per candidate and once per
-# nonsingular candidate: tools count and time the oracle through them.
-lu_factor = dgetrf
-lu_solve = dgetrs
+_lapack_bound = False
+
+
+def _bind_lapack() -> None:
+    """Bind lu_factor and lu_solve to scipy.linalg.lu_factor/lu_solve's LAPACK
+    kernels (dgetrf/dgetrs) without their per-call dispatch.
+
+    They are module attributes, called once per candidate and once per
+    nonsingular candidate, so tools can count and time the oracle through
+    them. They are bound on first use, not on import, so that importing
+    lpduet does not load scipy.linalg; once bound they are never rebound.
+    """
+    global _lapack_bound, lu_factor, lu_solve
+    if not _lapack_bound:
+        from scipy.linalg.lapack import dgetrf, dgetrs
+
+        lu_factor, lu_solve = dgetrf, dgetrs
+        _lapack_bound = True
+
+
+def __getattr__(name: str):
+    # The first lookup of lu_factor or lu_solve from outside the module binds
+    # them both (PEP 562); a name deleted after that stays missing.
+    if name in ("lu_factor", "lu_solve") and not _lapack_bound:
+        _bind_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +90,7 @@ def enumerate_basic_solutions(form: StandardForm) -> Iterator[BasicSolution]:
     total = math.comb(n, m)
     if total > MAX_BASES:
         raise TooLarge(f"{total} candidate bases exceed the budget of {MAX_BASES}")
+    _bind_lapack()
     diagonal = np.arange(m)
     subsets = itertools.combinations(range(n), m)
     while batch := list(itertools.islice(subsets, _BATCH)):

@@ -22,7 +22,8 @@ from .model import BigMForm, LPModel, Solution, Status, solution_at, to_big_m_fo
 LARGEST_COEFFICIENT = "largest_coefficient"
 BLAND = "bland"
 
-# Scaled threshold for "an artificial variable is still in play".
+# A basic artificial above ARTIFICIAL_TOL * (1 + |b_i|), b_i the right-hand
+# side of its own row, is still in play.
 ARTIFICIAL_TOL = 1e-6
 
 
@@ -137,9 +138,12 @@ def pivot(t: Tableau, row: int, col: int, pivot_tol: float = 1e-9) -> Tableau:
     )
 
 
-def _artificial_level(t: Tableau, art_cols: set[int]) -> float:
-    levels = [t.rhs[r] for r, j in enumerate(t.basis) if j in art_cols]
-    return max(levels, default=0.0)
+def _artificial_left(t: Tableau, form: BigMForm) -> bool:
+    """Whether a basic artificial exceeds ARTIFICIAL_TOL * (1 + |b_i|), b_i
+    the right-hand side of the row it was added for."""
+    b = form.base.b
+    limit = {col: ARTIFICIAL_TOL * (1.0 + abs(float(b[row]))) for col, row in form.artificial_cols}
+    return any(j in limit and t.rhs[r] > limit[j] for r, j in enumerate(t.basis))
 
 
 def solve_simplex(
@@ -167,9 +171,6 @@ def solve_simplex(
     form = to_big_m_form(model)
     t = init_tableau(form)
     m_rows = t.rhs.shape[0]
-    art_cols = {col for col, _ in form.artificial_cols}
-    b_scale = 1.0 + (float(np.abs(form.base.b).max()) if m_rows else 0.0)
-    art_tol = ARTIFICIAL_TOL * b_scale
 
     effective = opts
     degenerate_run = 0
@@ -195,7 +196,7 @@ def solve_simplex(
             effective = replace(opts, anti_cycling=BLAND)
 
     base = form.base
-    if _artificial_level(t, art_cols) > art_tol:
+    if _artificial_left(t, form):
         # No feasible basis was reached: an optimal or unbounded stop proves
         # infeasibility, and at the limit the point means nothing.
         if status is not Status.ITERATION_LIMIT:

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import rng_for, random_bounded_lp
 from lpduet import (
@@ -51,6 +52,39 @@ def test_projected_direction_annihilates_row_space():
         c = a.T @ rng.normal(size=m)
         result = projected_direction(a, c, np.ones(n))
         npt.assert_allclose(result.d, np.zeros(n), atol=1e-9)
+
+
+def _reference_direction(a, c, x):
+    """projected_direction as it was before one factor served both solves:
+    scipy's cho_factor/cho_solve on the Gram matrix mirrored from its upper
+    triangle, factored again for each solve."""
+    ahat = a * x[np.newaxis, :]
+    c_tilde = c * x
+    g = ahat @ ahat.T
+    s = np.triu(g) + np.triu(g, 1).T
+
+    def solve(rhs):
+        return cho_solve(cho_factor(s, lower=True, check_finite=False), rhs, check_finite=False)
+
+    y1 = solve(ahat @ c_tilde)
+    d = c_tilde - ahat.T @ y1
+    y2 = solve(ahat @ d)
+    return d - ahat.T @ y2, y1 + y2
+
+
+@pytest.mark.parametrize("rows", [1, 5, 0], ids=["one-row", "several-rows", "no-rows"])
+def test_projected_direction_matches_the_mirrored_reference_bit_for_bit(rows):
+    rng = rng_for(33 + rows)
+    for _ in range(10):
+        n = rows + int(rng.integers(1, 6))
+        a = rng.normal(size=(rows, n))
+        c = rng.normal(size=n)
+        x = rng.uniform(0.1, 10.0, n)
+        result = projected_direction(a, c, x)
+        d, dual_y = _reference_direction(a, c, x)
+        assert result.d.tobytes() == d.tobytes()
+        assert result.dual_y.tobytes() == dual_y.tobytes()
+        assert result.dual_y.shape == (rows,)
 
 
 def test_projected_direction_stays_in_nullspace():

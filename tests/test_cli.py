@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from lpduet import IPM_TRACE_HEADER, SIMPLEX_TRACE_HEADER, lana_lp_path, run_cli
+from conftest import near_duplicate_rows_lp, rng_for
+from lpduet import IPM_TRACE_HEADER, SIMPLEX_TRACE_HEADER, lana_lp_path, run_cli, write_lp_text
 
 DATA = Path(__file__).resolve().parent / "data"
 TOY = "max: 3x + 2y;\ncap: x + y <= 4;\nwall: x <= 2;\n"
@@ -312,6 +313,30 @@ def test_unwritable_trace_is_an_error_not_a_traceback(tmp_path, capsys, where, m
     assert "Traceback" not in err
 
 
+LAZY_SCIPY = """
+import contextlib, io, json, sys
+import lpduet
+from lpduet import lana_lp_path, parse_lp_text, run_cli
+loaded = {}
+parse_lp_text(lana_lp_path().read_text(encoding="utf-8"))
+loaded["parse"] = "scipy.linalg" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run_cli(["solve", str(lana_lp_path()), "--method", "simplex"])
+loaded["simplex"] = "scipy.linalg" in sys.modules
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def test_import_parse_and_a_simplex_run_leave_scipy_linalg_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"code": 0, "loaded": {"parse": False, "simplex": False}}
+
+
 # Dependent equality rows: both engines solve on one copy of the row.
 DUPLICATE_ROWS = (
     "max: 3x + 2y + z;\n"
@@ -337,11 +362,28 @@ def test_duplicated_equality_row_is_solved_by_both_engines(tmp_path, capsys):
         ("max: x;\nz: 0 x = 0;\n", 3, "unbounded"),
         ("max: x + y;\ne1: x + y = 2;\ne2: 2x + 2y = 5;\n", 2, "infeasible"),
         ("max: x;\ne1: x = 100000000;\ne2: x = 100100000;\n", 2, "infeasible"),
+        # e2 is off by 1e-3; each artificial is judged against its own row's
+        # rhs, not against the largest one.
+        ("max: x + y;\ne0: y = 100000000;\ne1: x = 1;\ne2: x = 1.001;\n", 2, "infeasible"),
     ],
-    ids=["zero-row", "inconsistent-rows", "inconsistent-large-rhs"],
+    ids=["zero-row", "inconsistent-rows", "inconsistent-large-rhs", "small-row-beside-large-rhs"],
 )
 def test_dependent_rows_status_from_both_engines(tmp_path, capsys, text, code, status):
     assert run_cli(["solve", write(tmp_path, text), "--json"]) == code
     out, err = capsys.readouterr()
     assert [r["status"] for r in json.loads(out)] == [status, status]
+    assert "Traceback" not in err
+
+
+def test_an_engine_error_keeps_the_report_of_the_engine_that_finished(tmp_path, capsys):
+    # Rows independent only to about 1e-8 are kept, and the affine Cholesky
+    # fails on them; the simplex solves the model.
+    text = write_lp_text(near_duplicate_rows_lp(rng_for(6000), 1e-8))
+    code = run_cli(["solve", write(tmp_path, text)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "method:     simplex\nstatus:     optimal\n" in out
+    assert "method:     affine" not in out
+    assert err.startswith("error: affine: ")
+    assert err.count("error:") == 1
     assert "Traceback" not in err

@@ -1,12 +1,13 @@
-"""Dense kernel checks: validation, Gram products, SPD solves."""
+"""Dense kernel checks: validation, Gram products, Cholesky factors, SPD solves."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import rng_for
 from lpduet import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
-from lpduet.linalg import as_matrix, as_vector, gram, solve_spd
+from lpduet.linalg import as_matrix, as_vector, cholesky, gram, solve_spd
 
 
 def test_as_vector_accepts_lists_and_rejects_bad_shapes():
@@ -27,13 +28,29 @@ def test_as_matrix_accepts_nested_lists_and_rejects_bad_shapes():
         as_matrix([[np.nan]])
 
 
-def test_gram_is_exactly_symmetric_and_correct():
+def _mirrored_reference_solve(a, b):
+    """The solve before the kernel change: the Gram matrix mirrored from its
+    upper triangle, then scipy's cho_factor/cho_solve on its lower triangle."""
+    g = a @ a.T
+    s = np.triu(g) + np.triu(g, 1).T
+    return cho_solve(cho_factor(s, lower=True, check_finite=False), b, check_finite=False)
+
+
+def test_gram_is_the_raw_product():
     rng = rng_for(12)
     for _ in range(20):
         a = rng.normal(size=(int(rng.integers(1, 8)), int(rng.integers(1, 8))))
-        g = gram(a)
-        assert np.array_equal(g, g.T)
-        npt.assert_allclose(g, a @ a.T, rtol=1e-12, atol=1e-12)
+        assert gram(a).tobytes() == (a @ a.T).tobytes()
+
+
+def test_solve_from_gram_matches_the_mirrored_reference_bit_for_bit():
+    rng = rng_for(14)
+    for _ in range(20):
+        m = int(rng.integers(1, 8))
+        a = rng.normal(size=(m, m + int(rng.integers(0, 6))))
+        b = rng.normal(size=m)
+        x = solve_spd(cholesky(gram(a)), b)
+        assert x.tobytes() == _mirrored_reference_solve(a, b).tobytes()
 
 
 def test_solve_spd_meets_residual_target():
@@ -43,22 +60,32 @@ def test_solve_spd_meets_residual_target():
         a = rng.normal(size=(n, n + 2))
         s = gram(a) + np.eye(n) * 0.5
         b = rng.normal(size=n)
-        x = solve_spd(s, b)
+        x = solve_spd(cholesky(s), b)
         resid = np.linalg.norm(s @ x - b)
         assert resid <= 1e-8 * (1.0 + np.linalg.norm(b))
 
 
 def test_solve_spd_identity_is_exact():
     b = np.array([3.0, -1.5, 0.25])
-    npt.assert_array_equal(solve_spd(np.eye(3), b), b)
+    npt.assert_array_equal(solve_spd(cholesky(np.eye(3)), b), b)
+
+
+def test_solve_spd_with_no_rows_is_empty():
+    x = solve_spd(cholesky(np.zeros((0, 0))), np.zeros(0))
+    assert x.shape == (0,)
 
 
 def test_solve_spd_rejects_indefinite_matrix():
     s = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(NotPositiveDefinite):
-        solve_spd(s, np.ones(2))
+        solve_spd(cholesky(s), np.ones(2))
 
 
 def test_solve_spd_rejects_nonsquare():
     with pytest.raises(DimensionMismatch):
-        solve_spd(np.ones((2, 3)), np.ones(2))
+        solve_spd(cholesky(np.ones((2, 3))), np.ones(2))
+
+
+def test_solve_spd_rejects_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        solve_spd(cholesky(np.eye(2)), np.ones(3))
