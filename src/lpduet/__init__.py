@@ -39,7 +39,7 @@ from .affine import (
     solve_affine,
     step,
 )
-from .oracle import BasicSolution, brute_force_optimum, enumerate_basic_solutions
+from .oracle import brute_force_optimum
 from .lp_format import lana_instance, lana_lp_path, parse_lp_text, write_lp_text
 from .reporting import (
     IPM_TRACE_HEADER,
@@ -55,7 +55,6 @@ from .cli import run_cli
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasicSolution",
     "DimensionMismatch",
     "EmptyModel",
     "IPM_TRACE_HEADER",
@@ -83,7 +82,6 @@ __all__ = [
     "build_model",
     "build_report",
     "constraint_residuals",
-    "enumerate_basic_solutions",
     "find_interior_point",
     "ipm_trace_rows",
     "lana_instance",

@@ -138,8 +138,9 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
     by mean|b| over its column norm when that helps), appends one artificial
     column carrying the residual b - A x_g at value 1, and runs the affine
     iteration with a large negative weight on that column until it drops
-    below PHASE1_ART_TOL. Raises InfeasibleInterior when the artificial
-    cannot be driven out. The rows of A have to be independent.
+    below PHASE1_ART_TOL. Raises InfeasibleInterior, carrying the count of
+    phase-1 iterations, when the artificial cannot be driven out. The rows of
+    A have to be independent.
     """
     opts = opts or IpmOptions()
     a = form.a
@@ -158,9 +159,9 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
     c_aug = np.zeros(n + 1)
     c_aug[-1] = -weight
     x = np.append(x_g, 1.0)
-    for _ in range(max(opts.max_iter, PHASE1_MIN_ITER)):
-        if x[-1] <= PHASE1_ART_TOL:
-            break
+    iterations = 0
+    while iterations < max(opts.max_iter, PHASE1_MIN_ITER) and x[-1] > PHASE1_ART_TOL:
+        iterations += 1
         direction = projected_direction(a_aug, c_aug, x)
         zero_tol = opts.tol * (1.0 + float(np.linalg.norm(x * c_aug)))
         try:
@@ -169,7 +170,7 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
             # The phase-1 objective is bounded above by zero, so this can
             # only be rounding noise on a stalled direction.
             raise InfeasibleInterior(
-                "phase-1 iteration stalled before clearing the artificial column"
+                "phase-1 iteration stalled before clearing the artificial column", iterations
             ) from None
         if float(np.linalg.norm(x_new - x)) <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
             break
@@ -177,7 +178,8 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
     if x[-1] > PHASE1_ART_TOL:
         raise InfeasibleInterior(
             "could not drive the artificial column below tolerance; "
-            "no strictly positive feasible point found"
+            "no strictly positive feasible point found",
+            iterations,
         )
     x0 = x[:-1]
     budget = EQUALITY_RTOL * (1.0 + b_norm)
@@ -186,7 +188,7 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
         if float(snapped.min()) > 0.0:
             x0 = snapped
     if float(x0.min()) <= 0.0 or float(np.linalg.norm(b - a @ x0)) > budget:
-        raise InfeasibleInterior("phase-1 endpoint is not interior-feasible")
+        raise InfeasibleInterior("phase-1 endpoint is not interior-feasible", iterations)
     return x0
 
 

@@ -115,7 +115,7 @@ def _run_affine(model: LPModel, opts: IpmOptions) -> tuple[Solution, list[tuple]
         solution, states = solve_affine(form, opts)
     except InfeasibleInterior as exc:
         print(f"warning: {exc}; reporting infeasible", file=sys.stderr)
-        return solution_at(form, Status.INFEASIBLE, 0), []
+        return solution_at(form, Status.INFEASIBLE, exc.iterations), []
     return solution, ipm_trace_rows(states, form)
 
 

@@ -30,7 +30,15 @@ class NotInterior(LpError):
 
 
 class InfeasibleInterior(LpError):
-    """Phase-1 could not produce a strictly positive feasible point."""
+    """Phase-1 could not produce a strictly positive feasible point.
+
+    ``iterations`` counts the phase-1 directions computed before giving up;
+    it is 0 when phase 1 never ran.
+    """
+
+    def __init__(self, message: str, iterations: int = 0):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class UnboundedDirection(LpError):

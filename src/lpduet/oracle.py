@@ -7,7 +7,10 @@ count of slack and surplus columns (unit vectors on distinct rows) and the row
 count. Dependent equality rows are dropped by model.independent_rows. Subsets
 are gathered 64 at a time and each is factored in place by LAPACK's
 partial-pivoting LU; one is nonsingular, and solved, when its largest entry is
-nonzero and no LU pivot falls below SINGULAR_RTOL times that entry.
+nonzero and no LU pivot falls below SINGULAR_RTOL times that entry. Those two
+kernel calls are the only work done per basis: feasibility is tested once per
+batch, and brute_force_optimum builds a point and an objective only for the
+feasible bases.
 """
 
 from __future__ import annotations
@@ -65,14 +68,15 @@ class BasicSolution:
     objective: float
 
 
-def enumerate_basic_solutions(form: StandardForm) -> Iterator[BasicSolution]:
-    """Yield a BasicSolution for every nonsingular basis-sized column subset.
+def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (columns, values) for the nonsingular bases, one batch at a time.
 
-    Raises TooLarge when no rank the form can have keeps the subsets within
-    MAX_BASES (an over-budget inconsistent system refuses too), or when the
-    row rank of A, the basis size once redundant equality rows are dropped,
-    does not. Otherwise an inconsistent system yields nothing. Subsets come in
-    lexicographic column order; feasible means every basic value >= -1e-9.
+    ``columns`` is a k x m array of basis column indices, in lexicographic
+    order, and ``values`` the k x m basic values. Raises TooLarge when no rank
+    the form can have keeps the subsets within MAX_BASES (an over-budget
+    inconsistent system refuses too), or when the row rank of A, the basis
+    size once redundant equality rows are dropped, does not. Otherwise an
+    inconsistent system yields nothing.
     """
     n = form.a.shape[1]
     if all(math.comb(n, k) > MAX_BASES for k in range(len(form.slack_rows), form.n_rows + 1)):
@@ -85,27 +89,45 @@ def enumerate_basic_solutions(form: StandardForm) -> Iterator[BasicSolution]:
     m = a.shape[0]
     if m == 0:
         # A is (numerically) zero and b consistent: only the origin is basic.
-        yield BasicSolution((), np.zeros(n), True, 0.0)
+        yield np.empty((1, 0), dtype=np.intp), np.empty((1, 0))
         return
     total = math.comb(n, m)
     if total > MAX_BASES:
         raise TooLarge(f"{total} candidate bases exceed the budget of {MAX_BASES}")
     _bind_lapack()
     diagonal = np.arange(m)
-    subsets = itertools.combinations(range(n), m)
-    while batch := list(itertools.islice(subsets, _BATCH)):
-        # stack[k] is the transpose of candidate k's submatrix, so stack[k].T
-        # is that submatrix in Fortran order and LAPACK factors it in place.
-        idx = np.array(batch)
-        stack = a.T[idx]
-        scale = np.abs(stack).max(axis=(1, 2))
-        pivots = [lu_factor(sub.T, overwrite_a=1)[1] for sub in stack]
-        smallest = np.abs(stack[:, diagonal, diagonal]).min(axis=1)
-        for k in np.flatnonzero((smallest >= SINGULAR_RTOL * scale) & (scale > 0.0)):
-            xb = lu_solve(stack[k].T, pivots[k], b)[0]
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), m))
+    for start in range(0, total, _BATCH):
+        size = min(_BATCH, total - start)
+        idx = np.fromiter(flat, dtype=np.intp, count=size * m).reshape(size, m)
+        # subs[k] is candidate k's submatrix in Fortran order (a transposed
+        # view of one gathered block), so LAPACK factors it in place.
+        subs = a.T[idx].transpose(0, 2, 1)
+        scale = np.abs(subs).max(axis=(1, 2))
+        pivots = [lu_factor(sub, overwrite_a=1)[1] for sub in subs]
+        smallest = np.abs(subs[:, diagonal, diagonal]).min(axis=1)
+        keep = np.flatnonzero((smallest >= SINGULAR_RTOL * scale) & (scale > 0.0))
+        xbs = [lu_solve(subs[k], pivots[k], b)[0] for k in keep.tolist()]
+        yield idx[keep], np.array(xbs).reshape(len(keep), m)
+
+
+def _feasible(values: np.ndarray) -> np.ndarray:
+    """Rows whose basic values are all >= -FEASIBLE_TOL."""
+    return (values >= -FEASIBLE_TOL).all(axis=1)
+
+
+def enumerate_basic_solutions(form: StandardForm) -> Iterator[BasicSolution]:
+    """Yield a BasicSolution for every nonsingular basis-sized column subset.
+
+    Subsets come in lexicographic column order; feasible means every basic
+    value >= -1e-9. Raises TooLarge as _nonsingular_batches does.
+    """
+    n = form.a.shape[1]
+    for idx, xbs in _nonsingular_batches(form):
+        for cols, xb, feasible in zip(idx.tolist(), xbs, _feasible(xbs).tolist()):
             x = np.zeros(n)
-            x[idx[k]] = xb
-            yield BasicSolution(batch[k], x, bool(xb.min() >= -FEASIBLE_TOL), float(form.c @ x))
+            x[cols] = xb
+            yield BasicSolution(tuple(cols), x, feasible, float(form.c @ x))
 
 
 def brute_force_optimum(form: StandardForm) -> Solution:
@@ -113,14 +135,21 @@ def brute_force_optimum(form: StandardForm) -> Solution:
 
     Strict improvement keeps the earlier basis on objective ties, so the
     winner is the lexicographically smallest optimal basis. ``iterations``
-    counts the nonsingular bases actually examined.
+    counts the nonsingular bases actually examined. Raises TooLarge as
+    _nonsingular_batches does.
     """
-    best: BasicSolution | None = None
+    n = form.a.shape[1]
+    best: np.ndarray | None = None
+    best_objective = 0.0
     count = 0
-    for cand in enumerate_basic_solutions(form):
-        count += 1
-        if cand.feasible and (best is None or cand.objective > best.objective):
-            best = cand
+    for idx, xbs in _nonsingular_batches(form):
+        count += len(idx)
+        for k in np.flatnonzero(_feasible(xbs)):
+            x = np.zeros(n)
+            x[idx[k]] = xbs[k]
+            objective = float(form.c @ x)
+            if best is None or objective > best_objective:
+                best, best_objective = x, objective
     if best is None:
         return solution_at(form, Status.INFEASIBLE, count)
-    return solution_at(form, Status.OPTIMAL, count, best.x)
+    return solution_at(form, Status.OPTIMAL, count, best)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import lpduet.affine
 from conftest import near_duplicate_rows_lp, rng_for
 from lpduet import IPM_TRACE_HEADER, SIMPLEX_TRACE_HEADER, lana_lp_path, run_cli, write_lp_text
 
@@ -15,6 +16,7 @@ DATA = Path(__file__).resolve().parent / "data"
 TOY = "max: 3x + 2y;\ncap: x + y <= 4;\nwall: x <= 2;\n"
 UNBOUNDED = "max: x;\nfloor: x >= 1;\n"
 INFEASIBLE = "max: x;\nlow: x >= 2;\nhigh: x <= 1;\n"
+INCONSISTENT = "max: x;\ne1: x = 1;\ne2: x = 2;\n"
 
 
 def write(tmp_path, text):
@@ -71,6 +73,46 @@ def test_unbounded_exit_code(tmp_path, capsys):
 
 def test_infeasible_exit_code(tmp_path, capsys):
     assert run_cli(["solve", write(tmp_path, INFEASIBLE), "--method", "simplex"]) == 2
+
+
+def affine_report(out):
+    reports = json.loads(out)
+    return reports[-1] if isinstance(reports, list) else reports
+
+
+def counting_directions(monkeypatch):
+    calls = []
+    direction = lpduet.affine.projected_direction
+
+    def counted(*args):
+        calls.append(args)
+        return direction(*args)
+
+    monkeypatch.setattr(lpduet.affine, "projected_direction", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["affine", "both"])
+def test_failed_phase_one_reports_its_iterations(tmp_path, capsys, monkeypatch, method):
+    directions = counting_directions(monkeypatch)
+    code = run_cli(["solve", write(tmp_path, INFEASIBLE), "--method", method, "--json"])
+    report = affine_report(capsys.readouterr().out)
+    assert code == 2
+    assert report["method"] == "affine"
+    assert report["status"] == "infeasible"
+    assert report["iterations"] == len(directions) > 0
+
+
+@pytest.mark.parametrize("method", ["affine", "both"])
+def test_inconsistent_rows_report_no_affine_iterations(tmp_path, capsys, monkeypatch, method):
+    directions = counting_directions(monkeypatch)
+    code = run_cli(["solve", write(tmp_path, INCONSISTENT), "--method", method, "--json"])
+    report = affine_report(capsys.readouterr().out)
+    assert code == 2
+    assert report["method"] == "affine"
+    assert report["status"] == "infeasible"
+    assert report["iterations"] == 0
+    assert directions == []  # phase 1 never ran
 
 
 def test_iteration_limit_exit_code(tmp_path, capsys):

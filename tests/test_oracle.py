@@ -25,13 +25,13 @@ from lpduet import (
     TooLarge,
     brute_force_optimum,
     build_model,
-    enumerate_basic_solutions,
     lana_instance,
     solve_affine,
     solve_simplex,
     to_equality_form,
 )
-from lpduet.model import independent_rows
+from lpduet.model import independent_rows, solution_at
+from lpduet.oracle import enumerate_basic_solutions
 
 
 def toy_form():
@@ -123,6 +123,42 @@ def test_enumeration_matches_the_per_subset_reference():
         assert got == want, name
 
 
+def ties_form():
+    # every vertex of x + y <= 1 with objective x + y scores 1 except the origin
+    m = build_model(
+        Sense.MAX, ("x", "y"), (1.0, 1.0), [((1.0, 1.0), Relation.LE, 1.0)]
+    )
+    return to_equality_form(m)
+
+
+def reference_optimum(form):
+    """brute_force_optimum over the per-subset reference: max keeps the first
+    feasible basis of largest objective."""
+    solutions = list(reference_basic_solutions(form))
+    feasible = [(x, objective) for _, x, ok, objective in solutions if ok]
+    if not feasible:
+        return solution_at(form, Status.INFEASIBLE, len(solutions))
+    x, _ = max(feasible, key=lambda s: s[1])
+    return solution_at(form, Status.OPTIMAL, len(solutions), x)
+
+
+def fingerprint(sol):
+    x = None if sol.x is None else sol.x.tobytes()
+    return sol.status, x, repr(sol.objective), sol.iterations, sol.binding
+
+
+def test_optimum_matches_the_best_per_subset_reference():
+    for name, form in [*reference_forms(), ("ties", ties_form())]:
+        assert fingerprint(brute_force_optimum(form)) == fingerprint(reference_optimum(form)), name
+
+
+def enumeration(form):
+    return [
+        (s.basis, s.x.tobytes(), s.feasible, repr(s.objective))
+        for s in enumerate_basic_solutions(form)
+    ]
+
+
 def counting(monkeypatch):
     calls = {"lu_factor": 0, "lu_solve": 0}
     for attribute in calls:
@@ -150,6 +186,23 @@ def test_one_factor_per_candidate_and_one_solve_per_nonsingular_basis(
     assert calls == {"lu_factor": factors, "lu_solve": solves}
     assert factors == math.comb(form.n_cols, form.n_rows)
     assert sol.iterations == solves
+
+
+@pytest.mark.parametrize("batch", [5, 1000])  # 54,264 leaves 4 and 264 over
+@pytest.mark.parametrize(
+    "make, factors, solves",
+    [(toy_form, 6, 5), (lambda: to_equality_form(lana_instance()), 54_264, 20_466)],
+    ids=["toy", "lana"],
+)
+def test_answers_do_not_depend_on_the_batch_size(monkeypatch, make, factors, solves, batch):
+    form = make()
+    want_bases, want_optimum = enumeration(form), fingerprint(brute_force_optimum(form))
+    monkeypatch.setattr(lpduet.oracle, "_BATCH", batch)
+    calls = counting(monkeypatch)
+    assert enumeration(form) == want_bases
+    assert calls == {"lu_factor": factors, "lu_solve": solves}
+    assert fingerprint(brute_force_optimum(form)) == want_optimum
+    assert calls == {"lu_factor": 2 * factors, "lu_solve": 2 * solves}
 
 
 def test_budget_is_tested_before_the_rank(monkeypatch):
@@ -218,11 +271,7 @@ def test_brute_force_toy():
 
 
 def test_brute_force_keeps_first_optimal_basis_on_ties():
-    # every vertex of x + y <= 1 with objective x + y scores 1 except the origin
-    m = build_model(
-        Sense.MAX, ("x", "y"), (1.0, 1.0), [((1.0, 1.0), Relation.LE, 1.0)]
-    )
-    form = to_equality_form(m)
+    form = ties_form()
     sols = [s for s in enumerate_basic_solutions(form) if s.feasible]
     best = max(s.objective for s in sols)
     first = next(s for s in sols if s.objective == best)
