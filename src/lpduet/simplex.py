@@ -1,11 +1,12 @@
 """Big-M tableau simplex engine.
 
-The tableau is held in plain float arrays. The objective row is two arrays,
-z_fin and z_m, and the objective value two floats, obj_fin and obj_m: each
-entry stands for fin + m * M, so the artificial penalty M stays symbolic from
-the first pivot to the last. The objective row stores Z_j - C_j, compared
-lexicographically (the M coefficient first, then the finite part): optimality
-for a maximization means no entry is below -pivot_tol in that order.
+The tableau is one float array, updated in place by one rank-1 update per
+pivot. The objective row is two of its rows, z_fin and z_m, and the objective
+value two of its entries, obj_fin and obj_m: each entry stands for
+fin + m * M, so the artificial penalty M stays symbolic from the first pivot
+to the last. The objective row stores Z_j - C_j, compared lexicographically
+(the M coefficient first, then the finite part): optimality for a
+maximization means no entry is below -pivot_tol in that order.
 """
 
 from __future__ import annotations
@@ -42,23 +43,55 @@ class SimplexOptions:
             raise ValueError(f"unknown anti-cycling rule {self.anti_cycling!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class Tableau:
-    """One simplex tableau; pivot() returns a fresh value, never mutates."""
+    """One simplex tableau in a single (m + 2) x (n + 1) float array, `full`.
 
-    body: np.ndarray
-    rhs: np.ndarray
-    basis: tuple[int, ...]
-    z_fin: np.ndarray
-    z_m: np.ndarray
-    obj_fin: float
-    obj_m: float
+    Rows 0..m-1 are the body, row m the finite objective row, row m + 1 the
+    M objective row; the last column holds rhs, obj_fin and obj_m. `body`,
+    `rhs`, `z_fin` and `z_m` are views into `full`, and pivot() updates it in
+    place.
+    """
+
+    __slots__ = ("full", "basis", "body", "rhs", "z_fin", "z_m")
+
+    def __init__(
+        self,
+        body: np.ndarray,
+        rhs: np.ndarray,
+        basis: tuple[int, ...],
+        z_fin: np.ndarray,
+        z_m: np.ndarray,
+        obj_fin: float,
+        obj_m: float,
+    ):
+        m, n = body.shape
+        full = np.empty((m + 2, n + 1))
+        full[:m, :n] = body
+        full[:m, n] = rhs
+        full[m, :n] = z_fin
+        full[m + 1, :n] = z_m
+        full[m, n] = obj_fin
+        full[m + 1, n] = obj_m
+        self.full = full
+        self.basis = tuple(basis)
+        self.body = full[:m, :n]
+        self.rhs = full[:m, n]
+        self.z_fin = full[m, :n]
+        self.z_m = full[m + 1, :n]
+
+    @property
+    def obj_fin(self) -> float:
+        return float(self.full[-2, -1])
+
+    @property
+    def obj_m(self) -> float:
+        return float(self.full[-1, -1])
 
 
 def init_tableau(form: BigMForm) -> Tableau:
     """Starting tableau: slack/artificial basis, objective row Z_j - C_j."""
-    body = form.a_full.copy()
-    rhs = form.base.b.copy()
+    body = form.a_full
+    rhs = form.base.b
     basis = form.starting_basis()
     c_fin, c_m = form.c_fin, form.c_m
     basis_idx = list(basis)
@@ -73,21 +106,25 @@ def select_entering(t: Tableau, opts: SimplexOptions) -> int | None:
     """Column with the most negative objective entry, or None at optimality.
 
     Entries compare by M coefficient first, then by finite part; ties go to
-    the smallest column index. Under Bland's rule the first negative column
-    wins outright.
+    the smallest column index. An M coefficient within pivot_tol of zero is
+    rounding noise and counts as zero, so a 1e-17 residue cannot outrank a
+    genuinely negative finite part. Under Bland's rule the first negative
+    column wins outright.
     """
     tol = opts.pivot_tol
-    # Snap M-coefficient rounding noise to zero so a 1e-17 residue cannot
-    # outrank a genuinely negative finite part.
-    z_m = np.where(np.abs(t.z_m) <= tol, 0.0, t.z_m)
-    candidates = np.flatnonzero((z_m < -tol) | ((z_m == 0.0) & (t.z_fin < -tol)))
-    if candidates.size == 0:
-        return None
+    z_m, z_fin = t.z_m, t.z_fin
     if opts.anti_cycling == BLAND:
-        return int(candidates[0])
-    # lexsort is stable and sorts by its last key first.
-    order = np.lexsort((t.z_fin[candidates], z_m[candidates]))
-    return int(candidates[order[0]])
+        candidates = np.flatnonzero((z_m < -tol) | ((np.abs(z_m) <= tol) & (z_fin < -tol)))
+        return int(candidates[0]) if candidates.size else None
+    # argmin returns the first of equal minima: the smallest column index.
+    enter = int(z_m.argmin())
+    best = z_m[enter]
+    if best < -tol:
+        tied = np.flatnonzero(z_m == best)
+        return int(tied[z_fin[tied].argmin()])
+    finite = np.where(np.abs(z_m) <= tol, z_fin, 0.0)
+    enter = int(finite.argmin())
+    return enter if finite[enter] < -tol else None
 
 
 def select_leaving(t: Tableau, enter: int, opts: SimplexOptions) -> int | None:
@@ -97,45 +134,40 @@ def select_leaving(t: Tableau, enter: int, opts: SimplexOptions) -> int | None:
     broken by the smallest basic variable index.
     """
     col = t.body[:, enter]
-    rows = [r for r in range(t.rhs.shape[0]) if col[r] > opts.pivot_tol]
-    if not rows:
+    rows = np.flatnonzero(col > opts.pivot_tol)
+    if not rows.size:
         return None
-    return min(rows, key=lambda r: (t.rhs[r] / col[r], t.basis[r]))
+    ratios = t.rhs[rows] / col[rows]
+    tied = rows[ratios == ratios.min()]
+    return min(tied.tolist(), key=t.basis.__getitem__)
 
 
 def pivot(t: Tableau, row: int, col: int, pivot_tol: float = 1e-9) -> Tableau:
-    """Gauss-Jordan pivot on (row, col); returns the new tableau."""
-    p = float(t.body[row, col])
+    """Gauss-Jordan pivot on (row, col), in place; returns t.
+
+    One rank-1 update covers the body, rhs and both objective rows: each
+    entry is updated as entry - factor * pivot_row_entry, one multiply then
+    one subtract.
+    """
+    full = t.full
+    p = float(full[row, col])
     if abs(p) <= pivot_tol:
         raise ZeroPivot(f"pivot element {p!r} at row {row}, column {col}")
-    body = t.body.copy()
-    rhs = t.rhs.copy()
-    body[row] /= p
-    rhs[row] /= p
-    prow = body[row].copy()
-    prhs = float(rhs[row])
-    factors = body[:, col].copy()
+    full[row] /= p
+    factors = full[:, col].copy()
     factors[row] = 0.0
-    body -= np.outer(factors, prow)
-    rhs -= factors * prhs
+    full -= np.outer(factors, full[row])
     # The pivot column is a unit vector by construction; make it exact.
-    body[:, col] = 0.0
-    body[row, col] = 1.0
+    full[:, col] = 0.0
+    full[row, col] = 1.0
     # The ratio test guarantees rhs >= 0 mathematically; clear rounding dust.
-    window = pivot_tol * (1.0 + float(np.abs(rhs).max()))
-    rhs[(rhs < 0.0) & (rhs >= -window)] = 0.0
-
-    f_fin = float(t.z_fin[col])
-    f_m = float(t.z_m[col])
-    z_fin = t.z_fin - f_fin * prow
-    z_m = t.z_m - f_m * prow
-    z_fin[col] = 0.0
-    z_m[col] = 0.0
-    basis = list(t.basis)
-    basis[row] = col
-    return Tableau(
-        body, rhs, tuple(basis), z_fin, z_m, t.obj_fin - f_fin * prhs, t.obj_m - f_m * prhs
-    )
+    rhs = t.rhs
+    negative = rhs < 0.0
+    if negative.any():
+        window = pivot_tol * (1.0 + float(np.abs(rhs).max()))
+        rhs[negative & (rhs >= -window)] = 0.0
+    t.basis = t.basis[:row] + (int(col),) + t.basis[row + 1 :]
+    return t
 
 
 def _artificial_left(t: Tableau, form: BigMForm) -> bool:

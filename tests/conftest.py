@@ -117,6 +117,37 @@ def near_duplicate_rows_lp(rng: np.random.Generator, eps: float) -> LPModel:
     return build_model(Sense.MAX, names, rng.uniform(-3.0, 3.0, n), rows)
 
 
+def beale_lp() -> LPModel:
+    """Beale's cycling example (Naval Res. Logist. Q. 2, 1955).
+
+    Under the largest-coefficient rule with ties to the smallest index, the
+    degenerate pivots from the slack basis cycle with period 6. The optimum
+    is 5/4 at x4 = 1, x6 = 1.
+    """
+    rows = [
+        ((0.25, -8.0, -1.0, 9.0), Relation.LE, 0.0),
+        ((0.5, -12.0, -0.5, 3.0), Relation.LE, 0.0),
+        ((0.0, 0.0, 1.0, 0.0), Relation.LE, 1.0),
+    ]
+    return build_model(Sense.MAX, ("x4", "x5", "x6", "x7"), (0.75, -20.0, 0.5, -6.0), rows)
+
+
+def klee_minty_lp(n: int) -> LPModel:
+    """The Klee-Minty cube (1972) in n variables.
+
+    Maximize sum_j 10^(n-1-j) x_j subject to, for each row i,
+    2 sum_{j<i} 10^(i-j) x_j + x_i <= 100^i. The largest-coefficient rule
+    visits all 2^n vertices; the optimum is 100^(n-1).
+    """
+    rows = []
+    for i in range(n):
+        coeffs = [2.0 * 10.0 ** (i - j) for j in range(i)] + [1.0] + [0.0] * (n - 1 - i)
+        rows.append((coeffs, Relation.LE, 100.0**i))
+    c = [10.0 ** (n - 1 - j) for j in range(n)]
+    names = tuple(f"x{j + 1}" for j in range(n))
+    return build_model(Sense.MAX, names, c, rows)
+
+
 @pytest.fixture(scope="session")
 def lana():
     return lana_instance()
