@@ -4,8 +4,9 @@ Exponential by design; the subset budget keeps it honest. Used to cross-check
 both engines on small instances and on the bundled LANA model (C(21,15) =
 54,264 bases). The budget is tested before the rank, which lies between the
 count of slack and surplus columns (unit vectors on distinct rows) and the row
-count. Dependent equality rows are dropped by model.independent_rows. Subsets
-are gathered 64 at a time and each is factored in place by LAPACK's
+count. Dependent equality rows are dropped by model.independent_rows, and
+each kept row of A and b is divided by its largest |entry|. Subsets are
+gathered 64 at a time and each is factored in place by LAPACK's
 partial-pivoting LU; one is nonsingular, and solved, when its largest entry is
 nonzero and no LU pivot falls below SINGULAR_RTOL times that entry. Those two
 kernel calls are the only work done per basis: feasibility is tested once per
@@ -84,9 +85,7 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
     kept = independent_rows(form)
     if kept is None:
         return
-    a = kept.a.astype(np.float64, copy=False)  # dgetrf works in place on float64
-    b = kept.b
-    m = a.shape[0]
+    m = kept.a.shape[0]
     if m == 0:
         # A is (numerically) zero and b consistent: only the origin is basic.
         yield np.empty((1, 0), dtype=np.intp), np.empty((1, 0))
@@ -94,6 +93,12 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
     total = math.comb(n, m)
     if total > MAX_BASES:
         raise TooLarge(f"{total} candidate bases exceed the budget of {MAX_BASES}")
+    # Each row scaled to a largest entry of 1, so that the pivot test below
+    # does not take a row that is small next to the others for a zero row.
+    row_scale = np.abs(kept.a).max(axis=1)
+    row_scale[row_scale == 0.0] = 1.0
+    a = kept.a / row_scale[:, None]  # a new float64 array: dgetrf works in place on it
+    b = kept.b / row_scale
     _bind_lapack()
     diagonal = np.arange(m)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), m))

@@ -117,6 +117,29 @@ def near_duplicate_rows_lp(rng: np.random.Generator, eps: float) -> LPModel:
     return build_model(Sense.MAX, names, rng.uniform(-3.0, 3.0, n), rows)
 
 
+def scaled_rows_lp(rng: np.random.Generator, scale: float) -> LPModel:
+    """A feasible bounded LP of 2-5 variables with a sum cap, one <= row, one
+    >= row and two equality rows, e2's coefficients and rhs multiplied by scale.
+
+    Every row holds at a strictly positive witness point. The draws do not
+    depend on scale, so one rng seed gives the same LP at every scale, and at
+    scale 1 no row is scaled.
+    """
+    n = int(rng.integers(2, 6))
+    witness = rng.uniform(0.5, 3.0, n)
+    le, ge, e1, e2 = rng.uniform(-2.0, 2.0, (4, n))
+    margins = rng.uniform(0.1, 2.0, 2)
+    rows = [
+        ("cap", np.ones(n), Relation.LE, float(witness.sum() * rng.uniform(1.5, 3.0))),
+        ("le", le, Relation.LE, float(le @ witness + margins[0])),
+        ("ge", ge, Relation.GE, float(ge @ witness - margins[1])),
+        ("e1", e1, Relation.EQ, float(e1 @ witness)),
+        ("e2", e2 * scale, Relation.EQ, float(e2 @ witness) * scale),
+    ]
+    names = tuple(f"x{j + 1}" for j in range(n))
+    return build_model(Sense.MAX, names, rng.uniform(-3.0, 3.0, n), rows)
+
+
 def beale_lp() -> LPModel:
     """Beale's cycling example (Naval Res. Logist. Q. 2, 1955).
 

@@ -97,6 +97,17 @@ def test_parse_errors_carry_position():
         assert str(err.value) == f"line {line}, column {col}: {message}", text
 
 
+def test_numbers_are_ascii_decimals():
+    # U+0663 ARABIC-INDIC DIGIT THREE is a Unicode digit, but not a number here
+    with pytest.raises(ParseError) as err:
+        parse_lp_text("max: \u0663x;")
+    assert str(err.value) == "line 1, column 6: unexpected character '\u0663'"
+    assert (err.value.line, err.value.col) == (1, 6)
+    # and a number does not run on into one: not 13 x, but an error at column 7
+    with pytest.raises(ParseError, match="column 7: unexpected character '\u0663'"):
+        parse_lp_text("max: 1\u0663x;\nc: x <= 1;")
+
+
 def test_parse_rejects_empty_text():
     with pytest.raises(ParseError):
         parse_lp_text("")

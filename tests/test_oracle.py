@@ -16,6 +16,7 @@ from conftest import (
     random_bounded_lp,
     random_infeasible_lp,
     random_unbounded_lp,
+    scaled_rows_lp,
 )
 from lpduet import (
     InfeasibleInterior,
@@ -74,15 +75,18 @@ def contradictory_rows_model():
 
 def reference_basic_solutions(form):
     """The oracle's kernel before batching: one subset at a time through
-    scipy.linalg.lu_factor/lu_solve, with the same row drop and pivot rule."""
+    scipy.linalg.lu_factor/lu_solve, with the same row drop, row scaling and
+    pivot rule."""
     n = form.n_cols
     kept = independent_rows(form)
     if kept is None:
         return
-    a, b = kept.a, kept.b
-    if a.shape[0] == 0:
+    if kept.a.shape[0] == 0:
         yield (), np.zeros(n), True, 0.0
         return
+    row_scale = np.abs(kept.a).max(axis=1)
+    row_scale[row_scale == 0.0] = 1.0
+    a, b = kept.a / row_scale[:, None], kept.b / row_scale
     for cols in itertools.combinations(range(n), a.shape[0]):
         sub = a[:, cols]
         scale = float(np.abs(sub).max())
@@ -359,6 +363,18 @@ def test_oracle_and_affine_agree_on_near_duplicate_rows(eps):
         assert oracle.status is Status.OPTIMAL, i
         assert interior.status is Status.OPTIMAL, i
         assert abs(interior.objective - oracle.objective) <= 1e-5 * max(1.0, abs(oracle.objective)), i
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e12, 1e-12])
+def test_optimum_does_not_depend_on_the_scale_of_an_equality_row(scale):
+    # a pivot compared with the largest entry of the whole basis, not of its
+    # own row, takes every basis that needs the scaled row for singular
+    for i in range(40):
+        plain = brute_force_optimum(to_equality_form(scaled_rows_lp(rng_for(7000 + i), 1.0)))
+        scaled = brute_force_optimum(to_equality_form(scaled_rows_lp(rng_for(7000 + i), scale)))
+        assert plain.status is Status.OPTIMAL, i
+        assert scaled.status is Status.OPTIMAL, i
+        assert abs(scaled.objective - plain.objective) <= 1e-9 * (1.0 + abs(plain.objective)), i
 
 
 def test_brute_force_minimization_sense():
