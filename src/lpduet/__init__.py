@@ -33,19 +33,17 @@ from .model import (
 from .simplex import SimplexOptions, solve_simplex
 from .affine import (
     IpmOptions,
-    IpmState,
     find_interior_point,
     projected_direction,
     solve_affine,
     step,
 )
 from .oracle import brute_force_optimum
-from .lp_format import lana_instance, lana_lp_path, parse_lp_text, write_lp_text
+from .lp_format import lana_lp_path, parse_lp_text, write_lp_text
 from .reporting import (
     IPM_TRACE_HEADER,
     SIMPLEX_TRACE_HEADER,
     build_report,
-    ipm_trace_rows,
     write_iteration_trace,
     write_report_pair,
     write_solution_report,
@@ -60,7 +58,6 @@ __all__ = [
     "IPM_TRACE_HEADER",
     "InfeasibleInterior",
     "IpmOptions",
-    "IpmState",
     "LPModel",
     "LpError",
     "NonFiniteInput",
@@ -83,8 +80,6 @@ __all__ = [
     "build_report",
     "constraint_residuals",
     "find_interior_point",
-    "ipm_trace_rows",
-    "lana_instance",
     "lana_lp_path",
     "parse_lp_text",
     "projected_direction",

@@ -50,16 +50,6 @@ class IpmOptions:
 
 
 @dataclass(frozen=True, eq=False)
-class IpmState:
-    """One recorded iterate; objective is in the model's native sense."""
-
-    x: np.ndarray
-    iteration: int
-    objective: float
-    step_norm: float
-
-
-@dataclass(frozen=True, eq=False)
 class DirectionResult:
     """Projected ascent direction in scaled space, with its multipliers.
 
@@ -105,8 +95,9 @@ def step(x, d, alpha: float, zero_tol: float = 0.0) -> np.ndarray:
     """One multiplicative affine-scaling step from x along d.
 
     Returns x unchanged when ||d|| <= zero_tol (converged). Raises
-    UnboundedDirection when d has no negative component but is not zero: the
-    scaled objective then improves forever without hitting a wall.
+    UnboundedDirection when d is not zero but has no component below
+    -1e-12 * max|d|: the scaled objective then improves forever without
+    hitting a wall.
     """
     x = as_vector(x)
     d = as_vector(d)
@@ -119,7 +110,9 @@ def step(x, d, alpha: float, zero_tol: float = 0.0) -> np.ndarray:
     if float(np.linalg.norm(d)) <= zero_tol:
         return x.copy()
     gamma = float(d.min())
-    if gamma >= 0.0:
+    # Components within 1e-12 of the largest |d| are rounding noise of the
+    # projection: stepping on one would send x past the float range.
+    if gamma >= -1e-12 * float(np.abs(d).max()):
         raise UnboundedDirection("projected direction has no blocking component")
     return x * (1.0 + (alpha / abs(gamma)) * d)
 
@@ -194,7 +187,7 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
 
 def solve_affine(
     form: StandardForm, opts: IpmOptions | None = None
-) -> tuple[Solution, list[IpmState]]:
+) -> tuple[Solution, list[tuple]]:
     """Run the affine-scaling iteration on an equality form.
 
     Runs on model.independent_rows(form) (InfeasibleInterior when the equality
@@ -202,7 +195,10 @@ def solve_affine(
     Stops at the first of: scaled step norm below tol, relative objective
     change below tol, or scaled complementarity below tol (optimal); an
     unblocked ascent ray (unbounded); or max_iter (iteration limit). Returns
-    the solution plus the full iterate trace.
+    the solution plus one trace row per iterate, the phase-1 point first:
+    (iteration, objective, step_norm, min_x, residual), with the objective in
+    the model's own sense and residual = ||b - A x|| / (1 + ||b||) over the
+    rows iterated on.
     """
     opts = opts or IpmOptions()
     kept = independent_rows(form)
@@ -211,10 +207,12 @@ def solve_affine(
     a, b, c = kept.a, kept.b, kept.c
     x = find_interior_point(kept, opts)
 
-    b_norm = float(np.linalg.norm(b))
-    budget = EQUALITY_RTOL * (1.0 + b_norm)
+    b_scale = 1.0 + float(np.linalg.norm(b))
+    budget = EQUALITY_RTOL * b_scale
+    sign = -1.0 if form.negated else 1.0  # the rows report the model's own sense
     obj = float(c @ x)
-    trace = [IpmState(x.copy(), 0, -obj if form.negated else obj, math.inf)]
+    resid = float(np.linalg.norm(b - a @ x))
+    rows = [(0, sign * obj, math.inf, float(x.min()), resid / b_scale)]
     status = Status.ITERATION_LIMIT
     iterations = 0
     for k in range(1, opts.max_iter + 1):
@@ -223,18 +221,20 @@ def solve_affine(
         try:
             x_new = step(x, direction.d, opts.alpha, zero_tol)
         except UnboundedDirection:
-            return solution_at(form, Status.UNBOUNDED, k), trace
+            return solution_at(form, Status.UNBOUNDED, k), rows
         # Drift control: the multiplicative step preserves A x = b only up to
         # the projection residual, which compounds over hundreds of iterates
         # at large |b|; snap back before it can leave the budget.
-        if float(np.linalg.norm(b - a @ x_new)) > 0.25 * budget:
+        resid = float(np.linalg.norm(b - a @ x_new))
+        if resid > 0.25 * budget:
             snapped = _least_squares_snap(a, x_new, b)
             if float(snapped.min()) > 0.0:
                 x_new = snapped
+                resid = float(np.linalg.norm(b - a @ x_new))
         step_norm = float(np.linalg.norm(x_new - x)) / (1.0 + float(np.linalg.norm(x)))
         obj_new = float(c @ x_new)
         iterations = k
-        trace.append(IpmState(x_new.copy(), k, -obj_new if form.negated else obj_new, step_norm))
+        rows.append((k, sign * obj_new, step_norm, float(x_new.min()), resid / b_scale))
         comp = float(np.abs(direction.d).max())
         converged = (
             step_norm <= opts.tol
@@ -247,4 +247,4 @@ def solve_affine(
             status = Status.OPTIMAL
             break
 
-    return solution_at(form, status, iterations, x), trace
+    return solution_at(form, status, iterations, x), rows

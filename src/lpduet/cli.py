@@ -25,7 +25,6 @@ from .lp_format import lana_lp_path, parse_lp_text
 from .model import LPModel, Sense, Solution, Status, solution_at, to_equality_form
 from .reporting import (
     build_report,
-    ipm_trace_rows,
     write_report_pair,
     write_solution_report,
     write_iteration_trace,
@@ -112,11 +111,10 @@ def _run_simplex(model: LPModel, opts: SimplexOptions) -> tuple[Solution, list[t
 def _run_affine(model: LPModel, opts: IpmOptions) -> tuple[Solution, list[tuple]]:
     form = to_equality_form(model)
     try:
-        solution, states = solve_affine(form, opts)
+        return solve_affine(form, opts)
     except InfeasibleInterior as exc:
         print(f"warning: {exc}; reporting infeasible", file=sys.stderr)
         return solution_at(form, Status.INFEASIBLE, exc.iterations), []
-    return solution, ipm_trace_rows(states, form)
 
 
 _ENGINES = {"simplex": _run_simplex, "affine": _run_affine}

@@ -201,8 +201,3 @@ def write_lp_text(model: LPModel) -> str:
 def lana_lp_path() -> Path:
     """Filesystem path of the bundled LANA fixture."""
     return Path(str(importlib.resources.files("lpduet").joinpath("data/lana.lp")))
-
-
-def lana_instance() -> LPModel:
-    """The bundled LANA production-planning model (six products, 15 rows)."""
-    return parse_lp_text(lana_lp_path().read_text(encoding="utf-8"))

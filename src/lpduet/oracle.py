@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -56,17 +55,6 @@ def __getattr__(name: str):
         _bind_lapack()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class BasicSolution:
-    """One basis and its basic solution (nonbasic entries exactly zero);
-    ``objective`` is form.c @ x, in the internal maximize sense."""
-
-    basis: tuple[int, ...]
-    x: np.ndarray
-    feasible: bool
-    objective: float
 
 
 def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -119,20 +107,6 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
 def _feasible(values: np.ndarray) -> np.ndarray:
     """Rows whose basic values are all >= -FEASIBLE_TOL."""
     return (values >= -FEASIBLE_TOL).all(axis=1)
-
-
-def enumerate_basic_solutions(form: StandardForm) -> Iterator[BasicSolution]:
-    """Yield a BasicSolution for every nonsingular basis-sized column subset.
-
-    Subsets come in lexicographic column order; feasible means every basic
-    value >= -1e-9. Raises TooLarge as _nonsingular_batches does.
-    """
-    n = form.a.shape[1]
-    for idx, xbs in _nonsingular_batches(form):
-        for cols, xb, feasible in zip(idx.tolist(), xbs, _feasible(xbs).tolist()):
-            x = np.zeros(n)
-            x[cols] = xb
-            yield BasicSolution(tuple(cols), x, feasible, float(form.c @ x))
 
 
 def brute_force_optimum(form: StandardForm) -> Solution:

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .affine import IpmState
-from .model import FEASIBILITY_TOL, LPModel, Relation, Solution, StandardForm
+from .model import FEASIBILITY_TOL, LPModel, Relation, Solution
 
 # CSV headers are part of the interface; tools downstream match them verbatim.
 IPM_TRACE_HEADER = "iteration,objective,step_norm,min_x,residual"
@@ -118,21 +117,6 @@ def write_report_pair(
             f"objective delta ({first['method']} - {second['method']}): {delta:.6g}\n"
         )
     return "\n".join(parts)
-
-
-def ipm_trace_rows(states: list[IpmState], form: StandardForm) -> list[tuple]:
-    """Convert recorded iterates to trace rows; residual is scaled by 1+||b||."""
-    b_norm = float(np.linalg.norm(form.b))
-    return [
-        (
-            state.iteration,
-            state.objective,
-            state.step_norm,
-            float(state.x.min()),
-            float(np.linalg.norm(form.b - form.a @ state.x)) / (1.0 + b_norm),
-        )
-        for state in states
-    ]
 
 
 def write_iteration_trace(rows: list[tuple], path) -> None:

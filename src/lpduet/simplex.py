@@ -203,6 +203,7 @@ def solve_simplex(
     form = to_big_m_form(model)
     t = init_tableau(form)
     m_rows = t.rhs.shape[0]
+    n_base = form.base.n_cols  # the artificial columns follow the form's
 
     effective = opts
     degenerate_run = 0
@@ -221,6 +222,14 @@ def solve_simplex(
         leaving_col = t.basis[leave]
         t = pivot(t, leave, enter, opts.pivot_tol)
         pivots += 1
+        if leaving_col >= n_base and max(t.basis) < n_base:
+            # No artificial is basic any more: in exact arithmetic z_m is 0 on
+            # the form's columns and 1 on the artificials, and obj_m is 0.
+            # Clear the rounding residue once; later pivots enter with z_m
+            # exactly 0 and so leave the row unchanged.
+            t.z_m[:n_base] = 0.0
+            t.z_m[n_base:] = 1.0
+            t.full[-1, -1] = 0.0
         if on_pivot is not None:
             on_pivot(pivots, enter, leaving_col, t.obj_fin, t.obj_m)
         degenerate_run = degenerate_run + 1 if degenerate else 0

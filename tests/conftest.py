@@ -7,9 +7,8 @@ given seed.
 import os
 
 import numpy as np
-import pytest
 
-from lpduet import LPModel, Relation, Sense, build_model, lana_instance
+from lpduet import LPModel, Relation, Sense, build_model, lana_lp_path, parse_lp_text
 
 SEED = int(os.environ.get("LPDUET_SEED", "20250822"))
 
@@ -17,6 +16,11 @@ SEED = int(os.environ.get("LPDUET_SEED", "20250822"))
 def rng_for(tag: int) -> np.random.Generator:
     """Independent deterministic stream per test case."""
     return np.random.default_rng((SEED, tag))
+
+
+def lana_model() -> LPModel:
+    """The bundled LANA production-planning model, parsed from lana.lp."""
+    return parse_lp_text(lana_lp_path().read_text(encoding="utf-8"))
 
 
 def lana_reference() -> LPModel:
@@ -170,7 +174,3 @@ def klee_minty_lp(n: int) -> LPModel:
     names = tuple(f"x{j + 1}" for j in range(n))
     return build_model(Sense.MAX, names, c, rows)
 
-
-@pytest.fixture(scope="session")
-def lana():
-    return lana_instance()

@@ -11,7 +11,9 @@ import time
 import numpy as np
 import pytest
 
+import lpduet.affine
 from conftest import (
+    lana_model,
     lana_reference,
     rng_for,
     random_bounded_lp,
@@ -23,10 +25,8 @@ from lpduet import (
     brute_force_optimum,
     build_model,
     constraint_residuals,
-    lana_instance,
     lana_lp_path,
     parse_lp_text,
-    projected_direction,
     run_cli,
     solve_affine,
     solve_simplex,
@@ -35,7 +35,7 @@ from lpduet import (
     Relation,
     Sense,
 )
-from lpduet.model import independent_rows, to_big_m_form
+from lpduet.model import to_big_m_form
 from lpduet.simplex import SimplexOptions, init_tableau, pivot, select_entering, select_leaving
 
 LANA_OPTIMUM = 765056.25
@@ -65,7 +65,7 @@ def test_criterion_1_lana_simplex_via_cli(capsys):
 
 
 def test_criterion_2_oracle_confirms_lana():
-    form = to_equality_form(lana_instance())
+    form = to_equality_form(lana_model())
     n_bases = 54264  # C(21, 15) candidate bases
     start = time.perf_counter()
     oracle = brute_force_optimum(form)
@@ -82,13 +82,10 @@ def test_criterion_2_oracle_confirms_lana():
 
 
 def test_criterion_3_lana_affine_interior_path():
-    form = to_equality_form(lana_instance())
-    sol, states = solve_affine(form)  # alpha defaults to 0.5
-    budget = 1e-7 * (1.0 + np.linalg.norm(form.b))
-    iterates_ok = all(
-        s.x.min() > 0.0 and np.linalg.norm(form.a @ s.x - form.b) <= budget
-        for s in states
-    )
+    form = to_equality_form(lana_model())
+    sol, rows = solve_affine(form)  # alpha defaults to 0.5
+    # LANA has no equality row to drop: the residual covers every row
+    iterates_ok = all(min_x > 0.0 and residual <= 1e-7 for _, _, _, min_x, residual in rows)
     ok = (
         sol.status is Status.OPTIMAL
         and sol.iterations <= 500
@@ -98,7 +95,7 @@ def test_criterion_3_lana_affine_interior_path():
     # Published interior-point profits for this model exceed the profit cap,
     # whose coefficient row equals the objective row, so no feasible point
     # can attain them; the engine must not reproduce those figures.
-    model = lana_instance()
+    model = lana_model()
     cap = model.row_names.index("profit_cap")
     assert model.relations[cap] is Relation.LE
     np.testing.assert_array_equal(model.a[cap], model.objective)
@@ -110,7 +107,7 @@ def test_criterion_3_lana_affine_interior_path():
 
 
 def test_criterion_4_published_simplex_points_check_out():
-    model = lana_instance()
+    model = lana_model()
     qm = np.array([22856.0, 33619.0, 8800.0, 2200.0, 54579.0, 2200.0])
     winqsb = np.array([40053.0, 16750.0, 8801.0, 2200.0, 48971.0, 2201.0])
     qm_obj = float(model.objective @ qm)
@@ -169,41 +166,48 @@ def test_criterion_5b_simplex_matches_oracle():
     _verdict(5, "b: simplex equals exhaustive enumeration on 100 models", ok)
 
 
-def test_criterion_5cd_affine_invariants_and_agreement():
+def test_criterion_5cd_affine_invariants_and_agreement(monkeypatch):
+    steps = []  # (x, d) of every direction the engine computes
+    direction = lpduet.affine.projected_direction
+
+    def recording(a, c, x):
+        result = direction(a, c, x)
+        steps.append((x.copy(), result.d))
+        return result
+
+    monkeypatch.setattr(lpduet.affine, "projected_direction", recording)
     ok_invariants = True
     ok_agreement = True
     for i in range(50):
         m = random_bounded_lp(rng_for(3000 + i))
         form = to_equality_form(m)
-        kept = independent_rows(form)
         target = solve_simplex(m)
-        sol, states = solve_affine(form)
+        steps.clear()
+        sol, rows = solve_affine(form)
         ok_agreement = (
             ok_agreement
             and sol.status is Status.OPTIMAL
             and _rel(sol.objective, target.objective) <= 1e-5
         )
-        budget = 1e-7 * (1.0 + np.linalg.norm(form.b))
         sign = 1.0 if m.sense is Sense.MAX else -1.0
         prev = None
-        for state in states:
-            ok_invariants = ok_invariants and state.x.min() > 0.0
-            ok_invariants = (
-                ok_invariants
-                and np.linalg.norm(form.a @ state.x - form.b) <= budget
-            )
+        for _, objective, _, min_x, residual in rows:
+            ok_invariants = ok_invariants and min_x > 0.0 and residual <= 1e-7
             if prev is not None:
                 ok_invariants = (
                     ok_invariants
-                    and sign * (state.objective - prev) >= -1e-9 * (1.0 + abs(prev))
+                    and sign * (objective - prev) >= -1e-9 * (1.0 + abs(prev))
                 )
-            prev = state.objective
-            # the engine steps on the kept rows; every row of the form must hold
-            direction = projected_direction(kept.a, kept.c, state.x)
-            ahat = form.a * state.x
-            d_norm = np.linalg.norm(direction.d)
-            bound = 1e-7 * (1.0 + np.linalg.norm(ahat) * d_norm)
-            ok_invariants = ok_invariants and np.linalg.norm(ahat @ direction.d) <= bound
+            prev = objective
+        # the engine steps on the kept rows; every row of the form must hold
+        budget = 1e-7 * (1.0 + np.linalg.norm(form.b))
+        for x, d in steps:
+            if x.size != form.n_cols:
+                continue  # a phase-1 direction, with the artificial column
+            ok_invariants = ok_invariants and np.linalg.norm(form.a @ x - form.b) <= budget
+            ahat = form.a * x
+            bound = 1e-7 * (1.0 + np.linalg.norm(ahat) * np.linalg.norm(d))
+            ok_invariants = ok_invariants and np.linalg.norm(ahat @ d) <= bound
     _verdict(5, "c: interior iterates keep every invariant", ok_invariants)
     _verdict(5, "d: affine agrees with simplex on 50 models", ok_agreement)
 

@@ -5,7 +5,9 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import rng_for, random_bounded_lp
+import lpduet.affine
+
+from conftest import lana_model, rng_for, random_bounded_lp
 from lpduet import (
     InfeasibleInterior,
     IpmOptions,
@@ -15,13 +17,13 @@ from lpduet import (
     UnboundedDirection,
     build_model,
     find_interior_point,
-    lana_instance,
     projected_direction,
     solve_affine,
     solve_simplex,
     step,
     to_equality_form,
 )
+from lpduet.model import independent_rows
 
 
 def toy_form():
@@ -88,7 +90,7 @@ def test_projected_direction_matches_the_mirrored_reference_bit_for_bit(rows):
 
 
 def test_projected_direction_stays_in_nullspace():
-    form = to_equality_form(lana_instance())
+    form = to_equality_form(lana_model())
     rng = rng_for(32)
     for _ in range(5):
         x = rng.uniform(0.5, 3.0, form.n_cols) * 1000.0
@@ -121,6 +123,16 @@ def test_step_unbounded_direction():
         step(np.ones(2), np.array([1.0, 0.5]), 0.5)
 
 
+def test_step_takes_rounding_noise_in_the_direction_for_zero():
+    # max|d| is 1: a component of -1e-13 is noise, one of -1e-11 blocks
+    x = np.ones(3)
+    with pytest.raises(UnboundedDirection):
+        step(x, np.array([1.0, 0.5, -1e-13]), 0.5)
+    out = step(x, np.array([1.0, 0.5, -1e-11]), 0.5)
+    assert np.isfinite(out).all()
+    assert out[2] == 0.5
+
+
 def test_step_zero_direction_is_identity():
     x = np.array([1.0, 2.0])
     out = step(x, np.zeros(2), 0.5, zero_tol=1e-12)
@@ -128,7 +140,7 @@ def test_step_zero_direction_is_identity():
 
 
 def test_find_interior_point_lana():
-    form = to_equality_form(lana_instance())
+    form = to_equality_form(lana_model())
     x0 = find_interior_point(form)
     assert x0.min() > 0.0
     resid = np.linalg.norm(form.a @ x0 - form.b)
@@ -158,31 +170,84 @@ def test_find_interior_point_infeasible():
 
 
 def test_solve_affine_toy():
-    sol, states = solve_affine(toy_form())
+    sol, rows = solve_affine(toy_form())
     assert sol.status is Status.OPTIMAL
     npt.assert_allclose(sol.objective, 10.0, rtol=1e-6)
     npt.assert_allclose(sol.x, np.array([2.0, 2.0]), atol=1e-3)
-    assert states[0].iteration == 0
-    assert states[0].step_norm == np.inf
-    assert [s.iteration for s in states] == list(range(len(states)))
+    assert rows[0][2] == np.inf
+    assert [row[0] for row in rows] == list(range(len(rows)))
+    assert rows[-1][1] == sol.objective
 
 
 def test_solve_affine_lana():
-    form = to_equality_form(lana_instance())
-    sol, states = solve_affine(form)
+    form = to_equality_form(lana_model())
+    sol, rows = solve_affine(form)
     assert sol.status is Status.OPTIMAL
-    assert sol.iterations <= 500
+    assert sol.iterations == len(rows) - 1 <= 500
     npt.assert_allclose(sol.objective, 765056.25, rtol=1e-4)
-    budget = 1e-7 * (1.0 + np.linalg.norm(form.b))
-    for state in states:
-        assert state.x.min() > 0.0
-        assert np.linalg.norm(form.a @ state.x - form.b) <= budget
+    for _, _, _, min_x, residual in rows:
+        assert min_x > 0.0
+        assert residual <= 1e-7
+
+
+def redundant_rows_form():
+    # e2 is e1 doubled, so the engine iterates on the cap and e1 only
+    rows = [
+        ((1.0, 1.0, 1.0), Relation.LE, 10.0),
+        ((1.0, 2.0, 0.0), Relation.EQ, 4.0),
+        ((2.0, 4.0, 0.0), Relation.EQ, 8.0),
+    ]
+    return to_equality_form(build_model(Sense.MIN, ("x", "y", "z"), (1.0, -1.0, 2.0), rows))
+
+
+@pytest.mark.parametrize(
+    "make, dropped, drift",
+    [
+        (lambda: to_equality_form(lana_model()), 0, 0.0),
+        (redundant_rows_form, 1, 0.0),
+        # every step leaves A x = b by 1e-6 relative, so drift control snaps it back
+        (lambda: to_equality_form(lana_model()), 0, 1e-6),
+    ],
+    ids=["lana", "redundant", "lana-snapped"],
+)
+def test_trace_columns_are_those_of_the_iterates(monkeypatch, make, dropped, drift):
+    # Main-loop direction k is taken at the iterate of trace row k - 1.
+    form = make()
+    kept = independent_rows(form)
+    assert kept.n_rows == form.n_rows - dropped
+    iterates = []
+    direction, step_from = lpduet.affine.projected_direction, lpduet.affine.step
+
+    def recording(a, c, x):
+        if a.shape[1] == form.n_cols:  # phase 1 adds an artificial column
+            iterates.append(x.copy())
+        return direction(a, c, x)
+
+    def drifting(x, d, alpha, zero_tol=0.0):
+        x_new = step_from(x, d, alpha, zero_tol)
+        return x_new * (1.0 + drift) if x.size == form.n_cols else x_new
+
+    monkeypatch.setattr(lpduet.affine, "projected_direction", recording)
+    monkeypatch.setattr(lpduet.affine, "step", drifting)
+    sol, rows = solve_affine(form)
+    assert sol.status is Status.OPTIMAL
+    assert len(iterates) == len(rows) - 1
+    b_scale = 1.0 + np.linalg.norm(kept.b)
+    for (_, objective, _, min_x, residual), x in zip(rows, iterates):
+        assert objective == (-(kept.c @ x) if form.negated else kept.c @ x)
+        assert min_x == x.min()
+        assert residual == np.linalg.norm(kept.b - kept.a @ x) / b_scale
+    if drift:
+        # Early steps are snapped back; near the boundary a snap would make a
+        # component nonpositive and is refused, so the drift stays: both
+        # paths are covered.
+        assert rows[1][4] < 1e-12 and rows[-1][4] > 1e-7
 
 
 def test_solve_affine_ascent_is_monotone():
-    form = to_equality_form(lana_instance())
-    _, states = solve_affine(form)
-    objs = [s.objective for s in states]
+    form = to_equality_form(lana_model())
+    _, rows = solve_affine(form)
+    objs = [row[1] for row in rows]
     for prev, cur in zip(objs, objs[1:]):
         assert cur >= prev - 1e-9 * (1.0 + abs(prev))
 
@@ -197,18 +262,19 @@ def test_solve_affine_minimization():
     m = build_model(
         Sense.MIN, ("x", "y"), (1.0, 1.0), [((1.0, 1.0), Relation.GE, 2.0)]
     )
-    sol, states = solve_affine(to_equality_form(m))
+    sol, rows = solve_affine(to_equality_form(m))
     assert sol.status is Status.OPTIMAL
     npt.assert_allclose(sol.objective, 2.0, rtol=1e-6)
     # trace objectives are reported in the model's own sense
-    assert states[-1].objective == pytest.approx(2.0, rel=1e-6)
+    assert rows[-1][1] == pytest.approx(2.0, rel=1e-6)
 
 
 def test_solve_affine_iteration_limit():
-    form = to_equality_form(lana_instance())
-    sol, states = solve_affine(form, opts=IpmOptions(max_iter=2))
+    form = to_equality_form(lana_model())
+    sol, rows = solve_affine(form, opts=IpmOptions(max_iter=2))
     assert sol.status is Status.ITERATION_LIMIT
     assert sol.iterations == 2
+    assert [row[0] for row in rows] == [0, 1, 2]
 
 
 def test_solve_affine_agrees_with_simplex():

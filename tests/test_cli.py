@@ -71,6 +71,16 @@ def test_unbounded_exit_code(tmp_path, capsys):
     assert run_cli(["solve", write(tmp_path, UNBOUNDED)]) == 3
 
 
+def test_affine_reports_a_ray_whose_direction_holds_rounding_noise(tmp_path, capsys):
+    # At the 7th iterate the most negative direction component is -1.2e-14 of
+    # the largest; a step on it overflowed x and the affine engine errored.
+    text = "max: x + y;\nc1: x - y <= 1;\nc2: y >= 2;\n"
+    assert run_cli(["solve", write(tmp_path, text), "--json"]) == 3
+    simplex, affine = json.loads(capsys.readouterr().out)
+    assert simplex["status"] == affine["status"] == "unbounded"
+    assert affine["iterations"] == 7
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     assert run_cli(["solve", write(tmp_path, INFEASIBLE), "--method", "simplex"]) == 2
 

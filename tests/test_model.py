@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import rng_for, random_bounded_lp
+from conftest import lana_model, rng_for, random_bounded_lp
 from lpduet import (
     DimensionMismatch,
     EmptyModel,
@@ -15,7 +15,6 @@ from lpduet import (
     brute_force_optimum,
     build_model,
     constraint_residuals,
-    lana_instance,
     solve_affine,
     solve_simplex,
     to_equality_form,
@@ -100,7 +99,7 @@ def test_model_equality_is_structural():
 
 
 def test_lana_instance_census():
-    m = lana_instance()
+    m = lana_model()
     assert m.sense is Sense.MAX
     assert len(m.variable_names) == 6
     assert m.n_constraints == 15
@@ -118,7 +117,7 @@ def test_lana_instance_census():
 
 
 def test_to_equality_form_column_layout():
-    model = lana_instance()
+    model = lana_model()
     form = to_equality_form(model)
     assert form.a.shape == (15, 21)
     assert form.n_structural == 6
@@ -155,7 +154,7 @@ def test_independent_rows_keeps_scaled_rows_and_drops_near_copies(factor):
 
 
 def test_independent_rows_copies_nothing_when_no_row_drops():
-    lana = to_equality_form(lana_instance())  # no equality rows: no rank is taken
+    lana = to_equality_form(lana_model())  # no equality rows: no rank is taken
     assert independent_rows(lana) is lana
     form = to_equality_form(random_bounded_lp(rng_for(1300)))  # two equality rows
     assert form.n_rows - len(form.slack_rows) == 2
@@ -249,7 +248,7 @@ def test_equality_form_feasibility_transfer():
 
 
 def test_to_big_m_form_lana_structure():
-    bm = to_big_m_form(lana_instance())
+    bm = to_big_m_form(lana_model())
     assert bm.a_full.shape == (15, 30)
     assert len(bm.artificial_cols) == 9
     assert [col for col, _ in bm.artificial_cols] == list(range(21, 30))
@@ -383,7 +382,7 @@ def test_every_engine_reports_the_objective_of_its_point():
         [((1.0, 1.0), Relation.GE, 2.0), ((1.0, 0.0), Relation.LE, 5.0)],
     )
     rng = rng_for(25)
-    models = [lana_instance(), toy_model(), minimize] + [random_bounded_lp(rng) for _ in range(30)]
+    models = [lana_model(), toy_model(), minimize] + [random_bounded_lp(rng) for _ in range(30)]
     for model in models:
         form = to_equality_form(model)
         for solution in (solve_simplex(model), solve_affine(form)[0], brute_force_optimum(form)):

@@ -11,6 +11,7 @@ import scipy.linalg
 
 import lpduet.oracle
 from conftest import (
+    lana_model,
     near_duplicate_rows_lp,
     rng_for,
     random_bounded_lp,
@@ -26,13 +27,11 @@ from lpduet import (
     TooLarge,
     brute_force_optimum,
     build_model,
-    lana_instance,
     solve_affine,
     solve_simplex,
     to_equality_form,
 )
 from lpduet.model import independent_rows, solution_at
-from lpduet.oracle import enumerate_basic_solutions
 
 
 def toy_form():
@@ -103,8 +102,25 @@ def reference_basic_solutions(form):
         yield cols, x, bool(xb.min() >= -lpduet.oracle.FEASIBLE_TOL), float(form.c @ x)
 
 
+def basic_solutions(form):
+    """(basis, x, feasible, objective) for each basis _nonsingular_batches
+    yields, in its order, in the layout of reference_basic_solutions."""
+    for idx, xbs in lpduet.oracle._nonsingular_batches(form):
+        for cols, xb in zip(idx.tolist(), xbs):
+            x = np.zeros(form.n_cols)
+            x[cols] = xb
+            yield tuple(cols), x, bool((xb >= -lpduet.oracle.FEASIBLE_TOL).all()), float(form.c @ x)
+
+
+def enumeration(solutions):
+    return [
+        (cols, x.tobytes(), feasible, repr(objective))
+        for cols, x, feasible, objective in solutions
+    ]
+
+
 def reference_forms():
-    yield "lana", to_equality_form(lana_instance())
+    yield "lana", to_equality_form(lana_model())
     yield "redundant", to_equality_form(redundant_rows_model())
     yield "contradictory", to_equality_form(contradictory_rows_model())
     for i in range(40):
@@ -116,15 +132,8 @@ def reference_forms():
 
 def test_enumeration_matches_the_per_subset_reference():
     for name, form in reference_forms():
-        got = [
-            (s.basis, s.x.tobytes(), s.feasible, repr(s.objective))
-            for s in enumerate_basic_solutions(form)
-        ]
-        want = [
-            (cols, x.tobytes(), feasible, repr(objective))
-            for cols, x, feasible, objective in reference_basic_solutions(form)
-        ]
-        assert got == want, name
+        got = enumeration(basic_solutions(form))
+        assert got == enumeration(reference_basic_solutions(form)), name
 
 
 def ties_form():
@@ -156,13 +165,6 @@ def test_optimum_matches_the_best_per_subset_reference():
         assert fingerprint(brute_force_optimum(form)) == fingerprint(reference_optimum(form)), name
 
 
-def enumeration(form):
-    return [
-        (s.basis, s.x.tobytes(), s.feasible, repr(s.objective))
-        for s in enumerate_basic_solutions(form)
-    ]
-
-
 def counting(monkeypatch):
     calls = {"lu_factor": 0, "lu_solve": 0}
     for attribute in calls:
@@ -178,7 +180,7 @@ def counting(monkeypatch):
 
 @pytest.mark.parametrize(
     "make, factors, solves",
-    [(toy_form, 6, 5), (lambda: to_equality_form(lana_instance()), 54_264, 20_466)],
+    [(toy_form, 6, 5), (lambda: to_equality_form(lana_model()), 54_264, 20_466)],
     ids=["toy", "lana"],
 )
 def test_one_factor_per_candidate_and_one_solve_per_nonsingular_basis(
@@ -195,15 +197,16 @@ def test_one_factor_per_candidate_and_one_solve_per_nonsingular_basis(
 @pytest.mark.parametrize("batch", [5, 1000])  # 54,264 leaves 4 and 264 over
 @pytest.mark.parametrize(
     "make, factors, solves",
-    [(toy_form, 6, 5), (lambda: to_equality_form(lana_instance()), 54_264, 20_466)],
+    [(toy_form, 6, 5), (lambda: to_equality_form(lana_model()), 54_264, 20_466)],
     ids=["toy", "lana"],
 )
 def test_answers_do_not_depend_on_the_batch_size(monkeypatch, make, factors, solves, batch):
     form = make()
-    want_bases, want_optimum = enumeration(form), fingerprint(brute_force_optimum(form))
+    want_bases = enumeration(basic_solutions(form))
+    want_optimum = fingerprint(brute_force_optimum(form))
     monkeypatch.setattr(lpduet.oracle, "_BATCH", batch)
     calls = counting(monkeypatch)
-    assert enumeration(form) == want_bases
+    assert enumeration(basic_solutions(form)) == want_bases
     assert calls == {"lu_factor": factors, "lu_solve": solves}
     assert fingerprint(brute_force_optimum(form)) == want_optimum
     assert calls == {"lu_factor": 2 * factors, "lu_solve": 2 * solves}
@@ -245,25 +248,24 @@ def test_over_budget_inconsistent_system_refuses():
 
 
 def test_enumerate_toy_bases():
-    sols = list(enumerate_basic_solutions(toy_form()))
+    sols = list(basic_solutions(toy_form()))
     # C(4, 2) = 6 subsets; column pair (1, 3) is singular, the rest invert
     assert len(sols) == 5
-    assert all(s.basis == tuple(sorted(s.basis)) for s in sols)
-    feasible = [s for s in sols if s.feasible]
+    assert all(cols == tuple(sorted(cols)) for cols, _, _, _ in sols)
+    feasible = [objective for _, _, ok, objective in sols if ok]
     assert len(feasible) == 4
-    best = max(s.objective for s in feasible)
-    assert best == 10.0
+    assert max(feasible) == 10.0
 
 
 def test_enumerate_nonbasic_entries_are_exactly_zero():
     form = toy_form()
-    for s in enumerate_basic_solutions(form):
-        nonbasic = [j for j in range(form.n_cols) if j not in s.basis]
-        assert all(s.x[j] == 0.0 for j in nonbasic)
+    for cols, x, _, _ in basic_solutions(form):
+        nonbasic = [j for j in range(form.n_cols) if j not in cols]
+        assert all(x[j] == 0.0 for j in nonbasic)
 
 
 def test_enumerate_skips_singular_pairs():
-    bases = [s.basis for s in enumerate_basic_solutions(toy_form())]
+    bases = [cols for cols, _, _, _ in basic_solutions(toy_form())]
     assert (1, 2) not in bases  # y and the first slack only touch row 0
 
 
@@ -276,12 +278,12 @@ def test_brute_force_toy():
 
 def test_brute_force_keeps_first_optimal_basis_on_ties():
     form = ties_form()
-    sols = [s for s in enumerate_basic_solutions(form) if s.feasible]
-    best = max(s.objective for s in sols)
-    first = next(s for s in sols if s.objective == best)
+    sols = [(x, objective) for _, x, ok, objective in basic_solutions(form) if ok]
+    best = max(objective for _, objective in sols)
+    first = next(x for x, objective in sols if objective == best)
     sol = brute_force_optimum(form)
     assert sol.objective == best
-    npt.assert_array_equal(sol.x[: form.n_structural], first.x[: form.n_structural])
+    npt.assert_array_equal(sol.x[: form.n_structural], first[: form.n_structural])
 
 
 def test_brute_force_infeasible():
@@ -335,7 +337,7 @@ def test_brute_force_handles_redundant_equality_rows():
 def test_brute_force_detects_contradictory_equality_rows():
     m = contradictory_rows_model()
     form = to_equality_form(m)
-    assert list(enumerate_basic_solutions(form)) == []
+    assert list(basic_solutions(form)) == []
     assert brute_force_optimum(form).status is Status.INFEASIBLE
     assert solve_simplex(m).status is Status.INFEASIBLE
     with pytest.raises(InfeasibleInterior):
@@ -346,7 +348,7 @@ def test_brute_force_detects_contradictory_equality_rows():
 def test_copies_with_large_rhs_apart_by_1e5_relative_are_infeasible(rhs):
     rows = [((1.0,), Relation.EQ, rhs), ((1.0,), Relation.EQ, rhs * (1 + 1e-5))]
     form = to_equality_form(build_model(Sense.MAX, ("x",), (1.0,), rows))
-    assert list(enumerate_basic_solutions(form)) == []
+    assert list(basic_solutions(form)) == []
     assert brute_force_optimum(form).status is Status.INFEASIBLE
     with pytest.raises(InfeasibleInterior):
         solve_affine(form)

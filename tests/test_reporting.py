@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import lana_model
 from lpduet import (
     IPM_TRACE_HEADER,
     SIMPLEX_TRACE_HEADER,
@@ -12,8 +13,7 @@ from lpduet import (
     Sense,
     build_model,
     build_report,
-    ipm_trace_rows,
-    lana_instance,
+    find_interior_point,
     solve_affine,
     solve_simplex,
     to_equality_form,
@@ -77,7 +77,7 @@ def test_human_report_layout():
 
 
 def test_human_report_marks_lower_bounds():
-    model = lana_instance()
+    model = lana_model()
     sol = solve_simplex(model)
     report = build_report("simplex", model, sol, 0.0)
     text = write_solution_report(report, format="human", model=model)
@@ -129,27 +129,21 @@ def test_report_pair_delta_line():
 
 
 def test_ipm_trace_rows_are_scaled():
+    # Row 0 is the phase-1 point; the residual is scaled by 1 + ||b||.
     form = to_equality_form(toy_model())
-    _, states = solve_affine(form)
-    rows = ipm_trace_rows(states, form)
-    assert rows[0][0] == 0
-    assert rows[0][2] == np.inf
-    b_norm = np.linalg.norm(form.b)
-    for (iteration, objective, step_norm, min_x, residual), state in zip(rows, states):
-        assert (iteration, objective, step_norm) == (state.iteration, state.objective, state.step_norm)
-        expected = np.linalg.norm(form.b - form.a @ state.x) / (1.0 + b_norm)
-        assert residual == pytest.approx(expected, abs=1e-15)
-        assert min_x == state.x.min()
+    _, rows = solve_affine(form)
+    x0 = find_interior_point(form)
+    residual = np.linalg.norm(form.b - form.a @ x0) / (1.0 + np.linalg.norm(form.b))
+    assert rows[0] == (0, form.c @ x0, np.inf, x0.min(), residual)
 
 
 def test_write_ipm_trace(tmp_path):
-    form = to_equality_form(toy_model())
-    _, states = solve_affine(form)
+    _, rows = solve_affine(to_equality_form(toy_model()))
     out = tmp_path / "trace.csv"
-    write_iteration_trace(ipm_trace_rows(states, form), out)
+    write_iteration_trace(rows, out)
     lines = out.read_text().splitlines()
     assert lines[0] == IPM_TRACE_HEADER
-    assert len(lines) == len(states) + 1
+    assert len(lines) == len(rows) + 1
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[2] == "inf"

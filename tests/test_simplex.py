@@ -4,16 +4,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import rng_for, random_bounded_lp
+from conftest import lana_model, rng_for, random_bounded_lp, scaled_rows_lp
 from lpduet import (
     Relation,
     Sense,
     SimplexOptions,
     Status,
     ZeroPivot,
+    brute_force_optimum,
     build_model,
-    lana_instance,
     solve_simplex,
+    to_equality_form,
 )
 from lpduet.model import to_big_m_form
 from lpduet.simplex import (
@@ -129,7 +130,7 @@ def test_solve_toy():
 
 
 def test_solve_lana():
-    sol = solve_simplex(lana_instance())
+    sol = solve_simplex(lana_model())
     assert sol.status is Status.OPTIMAL
     npt.assert_allclose(sol.objective, 765056.25, rtol=1e-9)
     assert sol.iterations <= 100
@@ -156,7 +157,7 @@ LANA_PIVOTS = {
 def test_lana_pivot_sequence_is_pinned(rule):
     seen = []
     solve_simplex(
-        lana_instance(),
+        lana_model(),
         SimplexOptions(anti_cycling=rule),
         on_pivot=lambda k, enter, leave, fin, m: seen.append((enter, leave)),
     )
@@ -164,7 +165,7 @@ def test_lana_pivot_sequence_is_pinned(rule):
 
 
 def test_solve_lana_with_bland_rule():
-    sol = solve_simplex(lana_instance(), SimplexOptions(anti_cycling=BLAND))
+    sol = solve_simplex(lana_model(), SimplexOptions(anti_cycling=BLAND))
     assert sol.status is Status.OPTIMAL
     npt.assert_allclose(sol.objective, 765056.25, rtol=1e-9)
 
@@ -198,7 +199,7 @@ def test_infeasible():
 
 
 def test_iteration_limit():
-    sol = solve_simplex(lana_instance(), SimplexOptions(max_pivots=1))
+    sol = solve_simplex(lana_model(), SimplexOptions(max_pivots=1))
     assert sol.status is Status.ITERATION_LIMIT
     assert sol.iterations == 1
 
@@ -257,3 +258,15 @@ def test_degenerate_model_still_terminates():
     sol = solve_simplex(m)
     assert sol.status is Status.OPTIMAL
     npt.assert_allclose(sol.objective, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e10, 1e12])
+def test_optimum_does_not_depend_on_the_scale_of_an_equality_row(scale):
+    # The M row must be exact once no artificial is basic: rounding residue
+    # left in it hides improving columns or, at 1e6, runs to the pivot limit.
+    for i in range(40):
+        m = scaled_rows_lp(rng_for(i), scale)
+        oracle = brute_force_optimum(to_equality_form(m))
+        sol = solve_simplex(m)
+        assert sol.status is Status.OPTIMAL, i
+        assert abs(sol.objective - oracle.objective) <= 1e-9 * (1.0 + abs(oracle.objective)), i

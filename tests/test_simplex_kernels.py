@@ -12,8 +12,8 @@ import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import SEED, random_bounded_lp, rng_for
-from lpduet import Relation, Sense, SimplexOptions, build_model, lana_instance
+from conftest import SEED, lana_model, random_bounded_lp, rng_for
+from lpduet import Relation, Sense, SimplexOptions, build_model
 from lpduet.model import to_big_m_form
 from lpduet.simplex import (
     BLAND,
@@ -177,7 +177,7 @@ def test_select_entering_matches_reference(columns, rule):
 
 
 def test_pivot_updates_one_array_in_place():
-    t = init_tableau(to_big_m_form(lana_instance()))
+    t = init_tableau(to_big_m_form(lana_model()))
     full = t.full
     opts = SimplexOptions()
     enter = select_entering(t, opts)
