@@ -1,12 +1,20 @@
 """Big-M tableau simplex engine.
 
 The tableau is one float array, updated in place by one rank-1 update per
-pivot. The objective row is two of its rows, z_fin and z_m, and the objective
-value two of its entries, obj_fin and obj_m: each entry stands for
-fin + m * M, so the artificial penalty M stays symbolic from the first pivot
-to the last. The objective row stores Z_j - C_j, compared lexicographically
-(the M coefficient first, then the finite part): optimality for a
-maximization means no entry is below -pivot_tol in that order.
+pivot. While an artificial is basic (phase 1), the objective row is two of its
+rows, z_fin and z_m, and the objective value two of its entries, obj_fin and
+obj_m: each entry stands for fin + m * M, so the artificial penalty M stays
+symbolic. The objective row stores Z_j - C_j, compared lexicographically (the
+M coefficient first, then the finite part): optimality for a maximization
+means no entry is below -pivot_tol in that order.
+
+Once no artificial is basic (phase 2), z_m is exactly 0 on the form's columns
+and 1 on the artificials, so no artificial can re-enter and the M row decides
+nothing. The tableau then drops the M row and the artificial columns and keeps
+only the form's columns; obj_m is exactly 0.0 from there on. A form with no
+artificial column starts in phase 2. Every kept entry is updated by the same
+per-entry multiply and subtract in either shape, so the switch changes no bit
+of the path.
 """
 
 from __future__ import annotations
@@ -44,12 +52,20 @@ class SimplexOptions:
 
 
 class Tableau:
-    """One simplex tableau in a single (m + 2) x (n + 1) float array, `full`.
+    """One simplex tableau in a single float array, `full`.
 
-    Rows 0..m-1 are the body, row m the finite objective row, row m + 1 the
-    M objective row; the last column holds rhs, obj_fin and obj_m. `body`,
-    `rhs`, `z_fin` and `z_m` are views into `full`, and pivot() updates it in
-    place.
+    Phase 1, while an artificial is basic: `full` is (m + 2) x (n + 1) over
+    all n columns of the Big-M form. Rows 0..m-1 are the body, row m the
+    finite objective row, row m + 1 the M objective row; the last column holds
+    rhs, obj_fin and obj_m.
+
+    Phase 2, once none is basic: `full` is (m + 1) x (n_base + 1) over the
+    equality form's n_base columns only, with no M row (`z_m` is None) and
+    obj_m exactly 0.0. Built directly when `z_m` is None, or by
+    drop_artificials().
+
+    `body`, `rhs`, `z_fin` and `z_m` are views into `full`, and pivot()
+    updates it in place.
     """
 
     __slots__ = ("full", "basis", "body", "rhs", "z_fin", "z_m")
@@ -60,44 +76,65 @@ class Tableau:
         rhs: np.ndarray,
         basis: tuple[int, ...],
         z_fin: np.ndarray,
-        z_m: np.ndarray,
+        z_m: np.ndarray | None,
         obj_fin: float,
-        obj_m: float,
+        obj_m: float = 0.0,
     ):
         m, n = body.shape
-        full = np.empty((m + 2, n + 1))
+        full = np.empty((m + 1 if z_m is None else m + 2, n + 1))
         full[:m, :n] = body
         full[:m, n] = rhs
         full[m, :n] = z_fin
-        full[m + 1, :n] = z_m
         full[m, n] = obj_fin
-        full[m + 1, n] = obj_m
-        self.full = full
+        if z_m is not None:
+            full[m + 1, :n] = z_m
+            full[m + 1, n] = obj_m
         self.basis = tuple(basis)
+        self._attach(full, m, z_m is not None)
+
+    def _attach(self, full: np.ndarray, m: int, m_row: bool) -> None:
+        n = full.shape[1] - 1
+        self.full = full
         self.body = full[:m, :n]
         self.rhs = full[:m, n]
         self.z_fin = full[m, :n]
-        self.z_m = full[m + 1, :n]
+        self.z_m = full[m + 1, :n] if m_row else None
+
+    def drop_artificials(self, n_base: int) -> None:
+        """Switch to phase 2: copy the body, rhs, z_fin and obj_fin over the
+        first n_base columns into one new contiguous array, without the M row.
+        """
+        m = self.rhs.shape[0]
+        full = np.empty((m + 1, n_base + 1))
+        full[:, :n_base] = self.full[: m + 1, :n_base]
+        full[:, n_base] = self.full[: m + 1, -1]
+        self._attach(full, m, False)
 
     @property
     def obj_fin(self) -> float:
-        return float(self.full[-2, -1])
+        return float(self.full[self.rhs.shape[0], -1])
 
     @property
     def obj_m(self) -> float:
-        return float(self.full[-1, -1])
+        return 0.0 if self.z_m is None else float(self.full[-1, -1])
 
 
 def init_tableau(form: BigMForm) -> Tableau:
-    """Starting tableau: slack/artificial basis, objective row Z_j - C_j."""
+    """Starting tableau: slack/artificial basis, objective row Z_j - C_j.
+
+    A form with no artificial column starts in phase 2, with no M row.
+    """
     body = form.a_full
     rhs = form.base.b
     basis = form.starting_basis()
-    c_fin, c_m = form.c_fin, form.c_m
+    c_fin = form.c_fin
     basis_idx = list(basis)
     z_fin = c_fin[basis_idx] @ body - c_fin
-    z_m = c_m[basis_idx] @ body - c_m
     obj_fin = float(c_fin[basis_idx] @ rhs)
+    if not form.artificial_cols:
+        return Tableau(body, rhs, basis, z_fin, None, obj_fin)
+    c_m = form.c_m
+    z_m = c_m[basis_idx] @ body - c_m
     obj_m = float(c_m[basis_idx] @ rhs)
     return Tableau(body, rhs, basis, z_fin, z_m, obj_fin, obj_m)
 
@@ -109,18 +146,25 @@ def select_entering(t: Tableau, opts: SimplexOptions) -> int | None:
     the smallest column index. An M coefficient within pivot_tol of zero is
     rounding noise and counts as zero, so a 1e-17 residue cannot outrank a
     genuinely negative finite part. Under Bland's rule the first negative
-    column wins outright.
+    column wins outright. With no M row (phase 2) only z_fin is read.
     """
     tol = opts.pivot_tol
     z_m, z_fin = t.z_m, t.z_fin
+    if z_m is None:
+        if opts.anti_cycling == BLAND:
+            negative = z_fin < -tol
+            enter = int(negative.argmax())  # the first True
+            return enter if negative[enter] else None
+        enter = int(z_fin.argmin())
+        return enter if z_fin[enter] < -tol else None
     if opts.anti_cycling == BLAND:
-        candidates = np.flatnonzero((z_m < -tol) | ((np.abs(z_m) <= tol) & (z_fin < -tol)))
+        candidates = ((z_m < -tol) | ((np.abs(z_m) <= tol) & (z_fin < -tol))).nonzero()[0]
         return int(candidates[0]) if candidates.size else None
     # argmin returns the first of equal minima: the smallest column index.
     enter = int(z_m.argmin())
     best = z_m[enter]
     if best < -tol:
-        tied = np.flatnonzero(z_m == best)
+        tied = (z_m == best).nonzero()[0]
         return int(tied[z_fin[tied].argmin()])
     finite = np.where(np.abs(z_m) <= tol, z_fin, 0.0)
     enter = int(finite.argmin())
@@ -134,20 +178,22 @@ def select_leaving(t: Tableau, enter: int, opts: SimplexOptions) -> int | None:
     broken by the smallest basic variable index.
     """
     col = t.body[:, enter]
-    rows = np.flatnonzero(col > opts.pivot_tol)
+    rows = (col > opts.pivot_tol).nonzero()[0]
     if not rows.size:
         return None
     ratios = t.rhs[rows] / col[rows]
     tied = rows[ratios == ratios.min()]
+    if tied.size == 1:
+        return int(tied[0])
     return min(tied.tolist(), key=t.basis.__getitem__)
 
 
 def pivot(t: Tableau, row: int, col: int, pivot_tol: float = 1e-9) -> Tableau:
     """Gauss-Jordan pivot on (row, col), in place; returns t.
 
-    One rank-1 update covers the body, rhs and both objective rows: each
-    entry is updated as entry - factor * pivot_row_entry, one multiply then
-    one subtract.
+    One rank-1 update covers the body, rhs and the objective rows: each entry
+    is updated as entry - factor * pivot_row_entry, one multiply then one
+    subtract.
     """
     full = t.full
     p = float(full[row, col])
@@ -156,16 +202,16 @@ def pivot(t: Tableau, row: int, col: int, pivot_tol: float = 1e-9) -> Tableau:
     full[row] /= p
     factors = full[:, col].copy()
     factors[row] = 0.0
-    full -= np.outer(factors, full[row])
+    full -= factors[:, None] * full[row]
     # The pivot column is a unit vector by construction; make it exact.
     full[:, col] = 0.0
     full[row, col] = 1.0
     # The ratio test guarantees rhs >= 0 mathematically; clear rounding dust.
     rhs = t.rhs
-    negative = rhs < 0.0
-    if negative.any():
-        window = pivot_tol * (1.0 + float(np.abs(rhs).max()))
-        rhs[negative & (rhs >= -window)] = 0.0
+    low = float(rhs.min())
+    if low < 0.0:
+        window = pivot_tol * (1.0 + max(float(rhs.max()), -low))
+        rhs[(rhs < 0.0) & (rhs >= -window)] = 0.0
     t.basis = t.basis[:row] + (int(col),) + t.basis[row + 1 :]
     return t
 
@@ -185,6 +231,12 @@ def solve_simplex(
 ) -> Solution:
     """Run the Big-M simplex on a model.
 
+    Phase 1 pivots on the (m + 2) x (n + 1) tableau of the Big-M form while
+    an artificial is basic. After the pivot that takes the last one out of
+    the basis, phase 2 goes on with the (m + 1) x (n_base + 1) tableau of the
+    equality form's columns alone; a form with no artificial starts there.
+    Artificials cannot re-enter, so the switch changes no pivot.
+
     Pivots until no entering column remains (optimal or, if an artificial is
     still basic above tolerance, infeasible), the ratio test finds no row
     (unbounded, or infeasible when artificials remain), or max_pivots is hit
@@ -197,7 +249,8 @@ def solve_simplex(
 
     ``on_pivot``, when given, is called after every pivot with
     (pivot_count, entering_col, leaving_col, objective_finite, objective_m),
-    the objective in the internal maximize sense.
+    the objective in the internal maximize sense; objective_m is exactly 0.0
+    once no artificial is basic.
     """
     opts = opts or SimplexOptions()
     form = to_big_m_form(model)
@@ -224,12 +277,10 @@ def solve_simplex(
         pivots += 1
         if leaving_col >= n_base and max(t.basis) < n_base:
             # No artificial is basic any more: in exact arithmetic z_m is 0 on
-            # the form's columns and 1 on the artificials, and obj_m is 0.
-            # Clear the rounding residue once; later pivots enter with z_m
-            # exactly 0 and so leave the row unchanged.
-            t.z_m[:n_base] = 0.0
-            t.z_m[n_base:] = 1.0
-            t.full[-1, -1] = 0.0
+            # the form's columns and 1 on the artificials, and obj_m is 0, so
+            # no artificial can re-enter. Drop the M row, with its rounding
+            # residue, and the artificial columns.
+            t.drop_artificials(n_base)
         if on_pivot is not None:
             on_pivot(pivots, enter, leaving_col, t.obj_fin, t.obj_m)
         degenerate_run = degenerate_run + 1 if degenerate else 0

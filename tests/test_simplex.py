@@ -54,7 +54,9 @@ def test_init_tableau_toy():
     assert t.basis == (2, 3)
     npt.assert_array_equal(t.rhs, np.array([4.0, 2.0]))
     assert finite_row(t) == (-3.0, -2.0, 0.0, 0.0)
-    assert not t.z_m.any()
+    # No artificial column: the tableau starts in phase 2, with no M row.
+    assert t.z_m is None and t.full.shape == (3, 5)
+    assert t.obj_m.hex() == "0x0.0p+0"
     assert t.obj_fin == 0.0
 
 
@@ -88,7 +90,21 @@ def test_pivot_cleans_basic_columns_exactly():
     t = init_tableau(to_big_m_form(toy_model()))
     t = pivot(t, 1, 0)
     npt.assert_array_equal(t.body[:, 0], np.array([0.0, 1.0]))
+    assert t.z_fin[0] == 0.0
+    # With an artificial for the >= row, the M row is cleaned too.
+    ge = build_model(
+        Sense.MAX, ("x", "y"), (3.0, 2.0),
+        [((1.0, 1.0), Relation.LE, 4.0), ((3.0, 0.0), Relation.GE, 1.0)],
+    )
+    t = pivot(init_tableau(to_big_m_form(ge)), 1, 0)
+    npt.assert_array_equal(t.body[:, 0], np.array([0.0, 1.0]))
     assert t.z_fin[0] == 0.0 and t.z_m[0] == 0.0
+
+
+def test_obj_m_reads_positive_zero_on_every_pivot_without_artificials():
+    seen = []
+    solve_simplex(toy_model(), on_pivot=lambda k, e, l, fin, mc: seen.append(mc.hex()))
+    assert seen == [(0.0).hex()] * 2
 
 
 def test_pivot_rejects_tiny_element():

@@ -3,19 +3,24 @@
 The reference pivot builds a fresh tableau per pivot and updates body, rhs and
 the two objective rows separately; the reference rules pick columns with
 lexsort and rows with a min over (ratio, basic index). Every pivot of the
-kernels under test must match them bit for bit.
+kernels under test must match them bit for bit. A reference solve built from
+them keeps the full (m + 2)-row tableau to the end and resets its M row once
+no artificial is basic; solve_simplex, which drops the M row and the
+artificial columns there, must take the same path to the same bits.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import SEED, lana_model, random_bounded_lp, rng_for
-from lpduet import Relation, Sense, SimplexOptions, build_model
+import lpduet.simplex
+from conftest import SEED, beale_lp, klee_minty_lp, lana_model, random_bounded_lp, rng_for
+from lpduet import Relation, Sense, SimplexOptions, Status, build_model, solve_simplex
 from lpduet.model import to_big_m_form
 from lpduet.simplex import (
+    ARTIFICIAL_TOL,
     BLAND,
     LARGEST_COEFFICIENT,
     Tableau,
@@ -24,6 +29,8 @@ from lpduet.simplex import (
     select_entering,
     select_leaving,
 )
+
+POSITIVE_ZERO = (0.0).hex()
 
 
 @dataclass(frozen=True)
@@ -86,19 +93,39 @@ def ref_pivot(t, row, col, pivot_tol):
     )
 
 
+def ref_init_tableau(form):
+    """The starting tableau with an M row, also for a form with no artificial."""
+    basis_idx = list(form.starting_basis())
+    body, rhs = form.a_full, form.base.b
+    return RefTableau(
+        body.copy(), rhs.copy(), tuple(basis_idx),
+        form.c_fin[basis_idx] @ body - form.c_fin, form.c_m[basis_idx] @ body - form.c_m,
+        float(form.c_fin[basis_idx] @ rhs), float(form.c_m[basis_idx] @ rhs),
+    )
+
+
 def assert_same_bits(t, ref):
-    for name in ("body", "rhs", "z_fin", "z_m"):
-        assert getattr(t, name).tobytes() == getattr(ref, name).tobytes(), name
+    """t matches ref on t's columns; with no M row, ref's is zero there."""
+    n = t.body.shape[1]
+    assert t.body.tobytes() == np.ascontiguousarray(ref.body[:, :n]).tobytes()
+    assert t.rhs.tobytes() == ref.rhs.tobytes()
+    assert t.z_fin.tobytes() == ref.z_fin[:n].tobytes()
     assert t.obj_fin.hex() == ref.obj_fin.hex()
-    assert t.obj_m.hex() == ref.obj_m.hex()
+    if t.z_m is None:
+        assert not ref.z_m[:n].any() and ref.obj_m == 0.0
+        assert t.obj_m.hex() == POSITIVE_ZERO
+    else:
+        assert t.z_m.tobytes() == ref.z_m.tobytes()
+        assert t.obj_m.hex() == ref.obj_m.hex()
     assert t.basis == ref.basis
 
 
 def run_lockstep(model, opts, limit=500):
     """Pivot the kernels and the references side by side; return the count."""
-    t = init_tableau(to_big_m_form(model))
-    ref = RefTableau(t.body.copy(), t.rhs.copy(), t.basis, t.z_fin.copy(), t.z_m.copy(),
-                     t.obj_fin, t.obj_m)
+    form = to_big_m_form(model)
+    t = init_tableau(form)
+    ref = ref_init_tableau(form)
+    assert_same_bits(t, ref)
     for k in range(limit):
         enter = select_entering(t, opts)
         assert enter == ref_select_entering(ref, opts)
@@ -150,6 +177,116 @@ def test_kernels_match_references_on_a_dense_mixed_model():
     assert 60 <= pivots < 2000
 
 
+def ref_solve_simplex(model, opts):
+    """solve_simplex from the reference kernels on the full (m + 2)-row tableau.
+
+    After the pivot that takes the last artificial out of the basis (before
+    the first pivot when the form has none), the M row is reset to its exact
+    values: 0 on the form's columns, 1 on the artificials, and obj_m 0.
+    Returns (on_pivot stream, status, x, the pivot count at the reset or None).
+    """
+    form = to_big_m_form(model)
+    n_base = form.base.n_cols
+    ref = ref_init_tableau(form)
+    m = ref.rhs.shape[0]
+    tol = opts.pivot_tol
+
+    def reset(ref):
+        z_m = ref.z_m.copy()
+        z_m[:n_base] = 0.0
+        z_m[n_base:] = 1.0
+        return replace(ref, z_m=z_m, obj_m=0.0)
+
+    switch = None
+    if not form.artificial_cols:
+        ref, switch = reset(ref), 0
+    effective = opts
+    degenerate_run = 0
+    stream = []
+    status = Status.ITERATION_LIMIT
+    for k in range(1, opts.max_pivots + 1):
+        enter = ref_select_entering(ref, effective)
+        if enter is None:
+            status = Status.OPTIMAL
+            break
+        leave = ref_select_leaving(ref, enter, effective)
+        if leave is None:
+            status = Status.UNBOUNDED
+            break
+        degenerate = ref.rhs[leave] <= tol * (1.0 + float(np.abs(ref.rhs).max()))
+        leaving_col = ref.basis[leave]
+        ref = ref_pivot(ref, leave, enter, tol)
+        if leaving_col >= n_base and max(ref.basis) < n_base:
+            ref, switch = reset(ref), k
+        stream.append((k, enter, leaving_col, ref.obj_fin.hex(), ref.obj_m.hex()))
+        degenerate_run = degenerate_run + 1 if degenerate else 0
+        if effective.anti_cycling != BLAND and degenerate_run >= 3 * m:
+            effective = replace(opts, anti_cycling=BLAND)
+
+    b = form.base.b
+    art_row = dict(form.artificial_cols)
+    if any(
+        j in art_row and ref.rhs[r] > ARTIFICIAL_TOL * (1.0 + abs(float(b[art_row[j]])))
+        for r, j in enumerate(ref.basis)
+    ):
+        if status is not Status.ITERATION_LIMIT:
+            status = Status.INFEASIBLE
+        return stream, status, None, switch
+    if status is Status.UNBOUNDED:
+        return stream, status, None, switch
+    x_full = np.zeros(ref.body.shape[1])
+    x_full[list(ref.basis)] = np.where(ref.rhs > 0.0, ref.rhs, 0.0)
+    return stream, status, x_full[: form.base.n_structural], switch
+
+
+def assert_solve_matches_reference(model, opts, monkeypatch):
+    """Same on_pivot stream and x bits as the reference solve; every pivot
+    after the switch runs on the (m + 1) x (n_base + 1) tableau, and reports
+    obj_m as +0.0. Returns (pivots, pivots after the switch)."""
+    form = to_big_m_form(model)
+    m, n_full = form.a_full.shape
+    n_base = form.base.n_cols
+    shapes = []
+
+    def traced_pivot(t, *args, **kwargs):
+        shapes.append(t.full.shape)
+        return pivot(t, *args, **kwargs)
+
+    monkeypatch.setattr(lpduet.simplex, "pivot", traced_pivot)
+    stream = []
+    sol = solve_simplex(
+        model, opts, on_pivot=lambda k, e, l, fin, mc: stream.append((k, e, l, fin.hex(), mc.hex()))
+    )
+    monkeypatch.undo()
+
+    ref_stream, ref_status, ref_x, switch = ref_solve_simplex(model, opts)
+    assert stream == ref_stream
+    assert sol.status is ref_status and sol.iterations == len(stream)
+    assert (sol.x is None) == (ref_x is None)
+    if ref_x is not None:
+        assert sol.x.tobytes() == ref_x.tobytes()
+    phase2 = 0 if switch is None else len(stream) - switch
+    assert shapes == [(m + 2, n_full + 1)] * (len(stream) - phase2) + [(m + 1, n_base + 1)] * phase2
+    assert all(mc == POSITIVE_ZERO for *_, mc in stream[len(stream) - phase2 :])
+    return len(stream), phase2
+
+
+def test_solve_matches_reference_across_the_phase_2_switch(monkeypatch):
+    total = phase2 = 0
+    models = [random_bounded_lp(rng_for(3000 + i)) for i in range(50)]
+    models += [dense_mixed_lp(rng_for(3100)), beale_lp()]
+    models += [klee_minty_lp(n) for n in range(2, 8)]
+    for model in models:
+        for rule in (LARGEST_COEFFICIENT, BLAND):
+            pivots, after = assert_solve_matches_reference(
+                model, SimplexOptions(anti_cycling=rule), monkeypatch
+            )
+            total += pivots
+            phase2 += after
+    # Both phases are exercised, and most pivots run on the smaller tableau.
+    assert 0 < total - phase2 < phase2
+
+
 # Exact ties, M parts at and around +-pivot_tol (1e-9), and rounding residues.
 _M_PARTS = (0.0, -0.0, 1e-17, -1e-17, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, -1.0, -2.0, 1.0)
 _FINITE_PARTS = (0.0, -0.0, 1e-9, -1e-9, -2e-9, -1.0, -3.0, 2.0)
@@ -176,18 +313,57 @@ def test_select_entering_matches_reference(columns, rule):
     assert enter is None or type(enter) is int
 
 
-def test_pivot_updates_one_array_in_place():
-    t = init_tableau(to_big_m_form(lana_model()))
-    full = t.full
-    opts = SimplexOptions()
+@seed(SEED)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(st.sampled_from(_FINITE_PARTS + (-5e-10, 5e-10, -1.0)), min_size=1, max_size=12),
+    st.sampled_from((LARGEST_COEFFICIENT, BLAND)),
+)
+def test_select_entering_without_m_row_matches_reference(z_fin, rule):
+    z_fin = np.array(z_fin)
+    n = z_fin.size
+    t = Tableau(np.eye(1, n), np.ones(1), (0,), z_fin, None, 0.0)
+    assert t.z_m is None and t.full.shape == (2, n + 1)
+    ref = RefTableau(t.body, t.rhs, t.basis, z_fin, np.zeros(n), 0.0, 0.0)
+    opts = SimplexOptions(anti_cycling=rule)
     enter = select_entering(t, opts)
-    leave = select_leaving(t, enter, opts)
-    assert type(leave) is int
-    assert pivot(t, leave, np.int64(enter)) is t
-    assert t.full is full
-    for view in (t.body, t.rhs, t.z_fin, t.z_m):
-        assert view.base is full
-    assert isinstance(t.basis, tuple)
-    assert all(type(j) is int for j in t.basis)
-    assert t.basis[leave] == enter
-    assert type(t.obj_fin) is float and type(t.obj_m) is float
+    assert enter == ref_select_entering(ref, opts)
+    assert enter is None or type(enter) is int
+
+
+def phase_2_lana_tableau():
+    """LANA's tableau after the kernels' pivots take every artificial out of
+    the basis, switched to phase 2."""
+    form = to_big_m_form(lana_model())
+    n_base = form.base.n_cols
+    t = init_tableau(form)
+    opts = SimplexOptions()
+    while max(t.basis) >= n_base:
+        enter = select_entering(t, opts)
+        t = pivot(t, select_leaving(t, enter, opts), enter)
+    kept = t.full[: t.rhs.shape[0] + 1].copy()
+    t.drop_artificials(n_base)
+    assert t.full.shape == (form.a_full.shape[0] + 1, n_base + 1)
+    assert t.full.flags.c_contiguous and t.full.base is None
+    assert t.full[:, :-1].tobytes() == np.ascontiguousarray(kept[:, :n_base]).tobytes()
+    assert t.full[:, -1].tobytes() == np.ascontiguousarray(kept[:, -1]).tobytes()
+    return t
+
+
+def test_pivot_updates_one_array_in_place():
+    opts = SimplexOptions()
+    for t in (init_tableau(to_big_m_form(lana_model())), phase_2_lana_tableau()):
+        full = t.full
+        enter = select_entering(t, opts)
+        leave = select_leaving(t, enter, opts)
+        assert type(leave) is int
+        assert pivot(t, leave, np.int64(enter)) is t
+        assert t.full is full
+        views = (t.body, t.rhs, t.z_fin) + (() if t.z_m is None else (t.z_m,))
+        for view in views:
+            assert view.base is full
+        assert isinstance(t.basis, tuple)
+        assert all(type(j) is int for j in t.basis)
+        assert t.basis[leave] == enter
+        assert type(t.obj_fin) is float and type(t.obj_m) is float
+    assert t.z_m is None and t.obj_m.hex() == POSITIVE_ZERO
