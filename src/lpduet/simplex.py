@@ -90,15 +90,15 @@ class Tableau:
             full[m + 1, :n] = z_m
             full[m + 1, n] = obj_m
         self.basis = tuple(basis)
-        self._attach(full, m, z_m is not None)
+        self._attach(full, m)
 
-    def _attach(self, full: np.ndarray, m: int, m_row: bool) -> None:
+    def _attach(self, full: np.ndarray, m: int) -> None:
         n = full.shape[1] - 1
         self.full = full
         self.body = full[:m, :n]
         self.rhs = full[:m, n]
         self.z_fin = full[m, :n]
-        self.z_m = full[m + 1, :n] if m_row else None
+        self.z_m = full[m + 1, :n] if full.shape[0] == m + 2 else None
 
     def drop_artificials(self, n_base: int) -> None:
         """Switch to phase 2: copy the body, rhs, z_fin and obj_fin over the
@@ -108,7 +108,7 @@ class Tableau:
         full = np.empty((m + 1, n_base + 1))
         full[:, :n_base] = self.full[: m + 1, :n_base]
         full[:, n_base] = self.full[: m + 1, -1]
-        self._attach(full, m, False)
+        self._attach(full, m)
 
     @property
     def obj_fin(self) -> float:
