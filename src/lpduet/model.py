@@ -276,51 +276,26 @@ def independent_rows(form: StandardForm) -> StandardForm | None:
 
 @dataclass(frozen=True, eq=False)
 class BigMForm:
-    """Equality form extended with artificial columns for >= and = rows.
+    """Equality form plus one artificial column per >= or = row.
 
-    ``a_full`` is the assembled matrix [A | artificial identity block]: the
-    columns of ``base`` keep their places and one artificial column per >= or
-    = row follows them, in row order. ``artificial_cols`` lists (column, row)
-    pairs. Column j costs ``c_fin[j] + c_m[j] * M`` for a symbolically
-    infinite penalty M: c_fin is the equality-form cost, zero on the
-    artificials, and c_m is -1 on the artificials and zero elsewhere.
+    The artificial columns follow the columns of ``base``: column
+    ``base.n_cols + k`` is the unit column of row ``artificial_rows[k]``, the
+    rows in increasing order. Each artificial costs -M for a symbolically
+    infinite penalty M and nothing finite; simplex.init_tableau lays out the
+    columns, costs and starting basis from these two fields.
     """
 
     base: StandardForm
-    a_full: np.ndarray
-    artificial_cols: tuple[tuple[int, int], ...]
-    c_fin: np.ndarray
-    c_m: np.ndarray
-
-    def starting_basis(self) -> tuple[int, ...]:
-        """Per row: the slack column for <= rows, the artificial otherwise."""
-        base = self.base
-        basis = np.empty(base.n_rows, dtype=int)
-        basis[base.slack_rows] = base.n_structural + np.arange(base.slack_rows.size)
-        for col, row in self.artificial_cols:
-            basis[row] = col
-        return tuple(basis.tolist())
+    artificial_rows: np.ndarray
 
 
 def to_big_m_form(model: LPModel) -> BigMForm:
-    """Build the Big-M starting structure over the equality form.
-
-    Every >= or = row receives one artificial column (unit entry on its row)
-    so the slack and artificial columns together hold an exact identity
-    submatrix, giving the simplex engine its starting basis.
+    """The equality form and the rows that get an artificial column: every >=
+    or = row, so that the slack and artificial columns together hold an exact
+    identity submatrix, the simplex engine's starting basis.
     """
-    base = to_equality_form(model)
-    art_rows = [i for i, rel in enumerate(model.relations) if rel is not Relation.LE]
-    m, n0 = base.a.shape
-    a_full = np.zeros((m, n0 + len(art_rows)))
-    a_full[:, :n0] = base.a
-    artificial = []
-    for k, row in enumerate(art_rows):
-        a_full[row, n0 + k] = 1.0
-        artificial.append((n0 + k, row))
-    c_fin = np.concatenate([base.c, np.zeros(len(art_rows))])
-    c_m = np.concatenate([np.zeros(n0), np.full(len(art_rows), -1.0)])
-    return BigMForm(base, a_full, tuple(artificial), c_fin, c_m)
+    artificial_rows = np.flatnonzero(np.array(model.relations) != Relation.LE)
+    return BigMForm(to_equality_form(model), artificial_rows)
 
 
 @dataclass(frozen=True, eq=False)

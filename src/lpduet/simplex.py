@@ -26,14 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ZeroPivot
-from .model import BigMForm, LPModel, Solution, Status, solution_at, to_big_m_form
+from .model import FEASIBILITY_TOL, BigMForm, LPModel, Solution, Status, solution_at, to_big_m_form
 
 LARGEST_COEFFICIENT = "largest_coefficient"
 BLAND = "bland"
-
-# A basic artificial above ARTIFICIAL_TOL * (1 + |b_i|), b_i the right-hand
-# side of its own row, is still in play.
-ARTIFICIAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,47 +48,29 @@ class SimplexOptions:
 
 
 class Tableau:
-    """One simplex tableau in a single float array, `full`.
+    """One simplex tableau: its basis, and a single float array, `full`.
 
     Phase 1, while an artificial is basic: `full` is (m + 2) x (n + 1) over
-    all n columns of the Big-M form. Rows 0..m-1 are the body, row m the
-    finite objective row, row m + 1 the M objective row; the last column holds
-    rhs, obj_fin and obj_m.
+    all n columns of the Big-M form, laid out by init_tableau. Rows 0..m-1 are
+    the body, row m the finite objective row, row m + 1 the M objective row;
+    the last column holds rhs, obj_fin and obj_m.
 
     Phase 2, once none is basic: `full` is (m + 1) x (n_base + 1) over the
     equality form's n_base columns only, with no M row (`z_m` is None) and
-    obj_m exactly 0.0. Built directly when `z_m` is None, or by
-    drop_artificials().
+    obj_m exactly 0.0. m is len(basis), so the row count gives the phase.
 
     `body`, `rhs`, `z_fin` and `z_m` are views into `full`, and pivot()
-    updates it in place.
+    updates it in place; drop_artificials() replaces it.
     """
 
     __slots__ = ("full", "basis", "body", "rhs", "z_fin", "z_m")
 
-    def __init__(
-        self,
-        body: np.ndarray,
-        rhs: np.ndarray,
-        basis: tuple[int, ...],
-        z_fin: np.ndarray,
-        z_m: np.ndarray | None,
-        obj_fin: float,
-        obj_m: float = 0.0,
-    ):
-        m, n = body.shape
-        full = np.empty((m + 1 if z_m is None else m + 2, n + 1))
-        full[:m, :n] = body
-        full[:m, n] = rhs
-        full[m, :n] = z_fin
-        full[m, n] = obj_fin
-        if z_m is not None:
-            full[m + 1, :n] = z_m
-            full[m + 1, n] = obj_m
+    def __init__(self, full: np.ndarray, basis: tuple[int, ...]):
         self.basis = tuple(basis)
-        self._attach(full, m)
+        self._attach(full)
 
-    def _attach(self, full: np.ndarray, m: int) -> None:
+    def _attach(self, full: np.ndarray) -> None:
+        m = len(self.basis)
         n = full.shape[1] - 1
         self.full = full
         self.body = full[:m, :n]
@@ -104,15 +82,15 @@ class Tableau:
         """Switch to phase 2: copy the body, rhs, z_fin and obj_fin over the
         first n_base columns into one new contiguous array, without the M row.
         """
-        m = self.rhs.shape[0]
+        m = len(self.basis)
         full = np.empty((m + 1, n_base + 1))
         full[:, :n_base] = self.full[: m + 1, :n_base]
         full[:, n_base] = self.full[: m + 1, -1]
-        self._attach(full, m)
+        self._attach(full)
 
     @property
     def obj_fin(self) -> float:
-        return float(self.full[self.rhs.shape[0], -1])
+        return float(self.full[len(self.basis), -1])
 
     @property
     def obj_m(self) -> float:
@@ -120,23 +98,35 @@ class Tableau:
 
 
 def init_tableau(form: BigMForm) -> Tableau:
-    """Starting tableau: slack/artificial basis, objective row Z_j - C_j.
+    """Starting tableau of a Big-M form, written straight into one array.
 
+    The body is the equality form's A followed by the artificial columns:
+    column n_base + k is 1 on row artificial_rows[k]. The basis holds each <=
+    row's slack column and each other row's artificial, an identity
+    submatrix. The objective rows hold Z_j - C_j: no basic column has a
+    finite cost, so z_fin is -c and obj_fin 0; each basic artificial costs
+    -M, so z_m is minus the sum of the artificial rows, 0 on the artificials.
     A form with no artificial column starts in phase 2, with no M row.
     """
-    body = form.a_full
-    rhs = form.base.b
-    basis = form.starting_basis()
-    c_fin = form.c_fin
-    basis_idx = list(basis)
-    z_fin = c_fin[basis_idx] @ body - c_fin
-    obj_fin = float(c_fin[basis_idx] @ rhs)
-    if not form.artificial_cols:
-        return Tableau(body, rhs, basis, z_fin, None, obj_fin)
-    c_m = form.c_m
-    z_m = c_m[basis_idx] @ body - c_m
-    obj_m = float(c_m[basis_idx] @ rhs)
-    return Tableau(body, rhs, basis, z_fin, z_m, obj_fin, obj_m)
+    base, rows = form.base, form.artificial_rows
+    m, n_base = base.a.shape
+    n = n_base + rows.size
+    artificials = np.arange(n_base, n)
+    full = np.zeros((m + 2 if rows.size else m + 1, n + 1))
+    full[:m, :n_base] = base.a
+    full[rows, artificials] = 1.0
+    full[:m, n] = base.b
+    basis = np.empty(m, dtype=np.intp)
+    basis[base.slack_rows] = base.n_structural + np.arange(base.slack_rows.size)
+    basis[rows] = artificials
+    full[m, :n_base] = 0.0 - base.c  # +0.0, not -0.0, where c is zero
+    if rows.size:
+        c_m_basic = np.zeros(m)
+        c_m_basic[rows] = -1.0
+        full[m + 1, :n] = c_m_basic @ full[:m, :n]
+        full[m + 1, n_base:n] += 1.0  # minus the artificials' cost of -1
+        full[m + 1, n] = c_m_basic @ base.b  # not the strided rhs: it rounds differently
+    return Tableau(full, tuple(basis.tolist()))
 
 
 def select_entering(t: Tableau, opts: SimplexOptions) -> int | None:
@@ -188,7 +178,7 @@ def select_leaving(t: Tableau, enter: int, opts: SimplexOptions) -> int | None:
     return min(tied.tolist(), key=t.basis.__getitem__)
 
 
-def pivot(t: Tableau, row: int, col: int, pivot_tol: float = 1e-9) -> Tableau:
+def pivot(t: Tableau, row: int, col: int, pivot_tol: float = SimplexOptions.pivot_tol) -> Tableau:
     """Gauss-Jordan pivot on (row, col), in place; returns t.
 
     One rank-1 update covers the body, rhs and the objective rows: each entry
@@ -217,11 +207,12 @@ def pivot(t: Tableau, row: int, col: int, pivot_tol: float = 1e-9) -> Tableau:
 
 
 def _artificial_left(t: Tableau, form: BigMForm) -> bool:
-    """Whether a basic artificial exceeds ARTIFICIAL_TOL * (1 + |b_i|), b_i
+    """Whether a basic artificial exceeds FEASIBILITY_TOL * (1 + |b_i|), b_i
     the right-hand side of the row it was added for."""
-    b = form.base.b
-    limit = {col: ARTIFICIAL_TOL * (1.0 + abs(float(b[row]))) for col, row in form.artificial_cols}
-    return any(j in limit and t.rhs[r] > limit[j] for r, j in enumerate(t.basis))
+    k = np.array(t.basis) - form.base.n_cols  # artificial k, or negative
+    basic = k >= 0
+    b = form.base.b[form.artificial_rows[k[basic]]]
+    return bool((t.rhs[basic] > FEASIBILITY_TOL * (1.0 + np.abs(b))).any())
 
 
 def solve_simplex(
@@ -296,6 +287,6 @@ def solve_simplex(
         return solution_at(base, status, pivots)
     if status is Status.UNBOUNDED:
         return solution_at(base, status, pivots)
-    x_full = np.zeros(form.a_full.shape[1])
+    x_full = np.zeros(t.body.shape[1])
     x_full[list(t.basis)] = np.where(t.rhs > 0.0, t.rhs, 0.0)
     return solution_at(base, status, pivots, x_full[: base.n_cols])

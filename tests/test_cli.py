@@ -197,6 +197,18 @@ def test_nonpositive_tol_or_max_iter_is_a_usage_error(tmp_path, capsys, flag, va
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, says",
+    [("--alpha", "abc", "is not a number"), ("--max-iter", "2.5", "is not an integer")],
+)
+def test_unparsable_flag_value_is_a_usage_error(tmp_path, capsys, flag, value, says):
+    code = run_cli(["solve", write(tmp_path, TOY), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{flag}: {value!r} {says}" in err
+    assert "Traceback" not in err
+
+
 def test_affine_trace_file(tmp_path, capsys):
     target = tmp_path / "trace.csv"
     code = run_cli(

@@ -20,6 +20,7 @@ from lpduet import (
     to_equality_form,
 )
 from lpduet.model import independent_rows, solution_at, to_big_m_form
+from lpduet.simplex import init_tableau
 
 
 def toy_model():
@@ -210,7 +211,7 @@ def test_to_equality_form_gives_equality_rows_no_column():
     assert binding_at(form, [2.0, 1.0, 1.0, 5.0]) == (0, 2)
     assert binding_at(form, [2.0, 1.0, 0.0, 5.0]) == (0, 1, 2)
     # the >= and = rows start on their artificials (columns 4-6), the <= row on its slack
-    assert to_big_m_form(m).starting_basis() == (4, 5, 6, 3)
+    assert init_tableau(to_big_m_form(m)).basis == (4, 5, 6, 3)
 
 
 def test_to_equality_form_negates_minimization():
@@ -241,25 +242,36 @@ def test_equality_form_feasibility_transfer():
         assert solution.binding == expected
         npt.assert_array_equal(solution.x, x_full[:n])
         bm = to_big_m_form(m)
-        artificial = {row: col for col, row in bm.artificial_cols}
-        assert bm.starting_basis() == tuple(
+        artificial = {row: form.n_cols + k for k, row in enumerate(bm.artificial_rows.tolist())}
+        assert init_tableau(bm).basis == tuple(
             artificial.get(i, owner.get(i)) for i in range(form.n_rows)
         )
 
 
 def test_to_big_m_form_lana_structure():
-    bm = to_big_m_form(lana_model())
-    assert bm.a_full.shape == (15, 30)
-    assert len(bm.artificial_cols) == 9
-    assert [col for col, _ in bm.artificial_cols] == list(range(21, 30))
-    # artificial objective entries carry the -M penalty
-    for col, row in bm.artificial_cols:
-        assert bm.c_m[col] == -1.0
-        assert bm.c_fin[col] == 0.0
-        assert bm.a_full[row, col] == 1.0
-    basis = bm.starting_basis()
+    model = lana_model()
+    bm = to_big_m_form(model)
+    t = init_tableau(bm)
+    assert t.body.shape == (15, 30)
+    assert len(bm.artificial_rows) == 9
+    assert bm.artificial_rows.tolist() == [
+        i for i, rel in enumerate(model.relations) if rel is not Relation.LE
+    ]
+    artificial_cols = [t.basis[row] for row in bm.artificial_rows]
+    assert artificial_cols == list(range(21, 30))
+    # each basic artificial carries the -M penalty and no finite cost: the
+    # objective rows read 0 on it, z_m elsewhere is minus the sum of the
+    # artificial rows and obj_m minus the sum of their rhs
+    for col, row in zip(artificial_cols, bm.artificial_rows):
+        assert t.z_m[col] == 0.0
+        assert t.z_fin[col] == 0.0
+        assert t.body[row, col] == 1.0
+    npt.assert_allclose(t.z_m[:21], -bm.base.a[bm.artificial_rows].sum(axis=0), atol=1e-12)
+    assert t.obj_m == pytest.approx(-bm.base.b[bm.artificial_rows].sum(), rel=1e-15)
+    assert t.obj_fin == 0.0
+    basis = t.basis
     assert len(basis) == 15
-    ident = bm.a_full[:, list(basis)]
+    ident = t.body[:, list(basis)]
     npt.assert_array_equal(ident, np.eye(15))
 
 

@@ -27,6 +27,7 @@ from lpduet import (
     TooLarge,
     brute_force_optimum,
     build_model,
+    parse_lp_text,
     solve_affine,
     solve_simplex,
     to_equality_form,
@@ -245,6 +246,27 @@ def test_over_budget_inconsistent_system_refuses():
     m = build_model(Sense.MAX, tuple(f"x{j}" for j in range(40)), np.ones(40), rows)
     with pytest.raises(TooLarge):
         brute_force_optimum(to_equality_form(m))
+
+
+def test_budget_is_tested_again_at_the_rank():
+    # 20 distinct = rows, each given twice: C(40, 40) = 1 passes the first
+    # test, but the rank is 20 and C(40, 20) candidates exceed the budget
+    rng = rng_for(44)
+    a = rng.uniform(0.5, 1.5, size=(20, 40))
+    witness = rng.uniform(0.5, 2.0, 40)
+    rows = [(a[i % 20], Relation.EQ, float(a[i % 20] @ witness)) for i in range(40)]
+    m = build_model(Sense.MAX, tuple(f"x{j}" for j in range(40)), np.ones(40), rows)
+    form = to_equality_form(m)
+    assert form.a.shape == (40, 40) and independent_rows(form).a.shape == (20, 40)
+    with pytest.raises(TooLarge, match=f"{math.comb(40, 20)} candidate bases"):
+        brute_force_optimum(form)
+
+
+def test_rank_zero_system_has_only_the_origin():
+    sol = brute_force_optimum(to_equality_form(parse_lp_text("min: x;\nc1: 0 x = 0;\n")))
+    assert sol.status is Status.OPTIMAL
+    assert sol.objective == 0.0
+    npt.assert_array_equal(sol.x, [0.0])
 
 
 def test_enumerate_toy_bases():

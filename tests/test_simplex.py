@@ -44,9 +44,10 @@ def finite_row(t):
 def row_tableau(z_fin, z_m):
     """A one-row tableau that only select_entering reads: just the objective row."""
     n = len(z_fin)
-    return Tableau(
-        np.eye(1, n), np.ones(1), (0,), np.array(z_fin, float), np.array(z_m, float), 0.0, 0.0
-    )
+    full = np.zeros((3, n + 1))
+    full[0, [0, n]] = 1.0
+    full[1:, :n] = z_fin, z_m
+    return Tableau(full, (0,))
 
 
 def test_init_tableau_toy():
@@ -105,6 +106,28 @@ def test_obj_m_reads_positive_zero_on_every_pivot_without_artificials():
     seen = []
     solve_simplex(toy_model(), on_pivot=lambda k, e, l, fin, mc: seen.append(mc.hex()))
     assert seen == [(0.0).hex()] * 2
+
+
+def test_pivot_clears_rhs_dust_only_within_its_window():
+    # Pivoting on (0, 0) subtracts row 0's rhs of 1 from rows 1 and 2: row 1
+    # ends 3 ulps below zero, inside pivot_tol * (1 + max(rhs.max(), -rhs.min()))
+    # = 1e-9 * 2, and row 2 ends at -0.5, far outside it.
+    few_ulps = 3 * 2.0**-53
+    full = np.array(
+        [
+            [1.0, 1.0, 0.0, 0.0, 1.0],
+            [1.0, 0.0, 1.0, 0.0, 1.0 - few_ulps],
+            [1.0, 0.0, 0.0, 1.0, 0.5],
+            [-1.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    t = pivot(Tableau(full, (1, 2, 3)), 0, 0)
+    assert t.basis == (0, 2, 3)
+    assert t.rhs[0] == 1.0
+    assert t.rhs[1].hex() == "0x0.0p+0"
+    assert t.rhs[2] == -0.5
+    # Without the pivot's cleanup, row 1 would read the dust itself.
+    assert (1.0 - few_ulps) - 1.0 == -few_ulps
 
 
 def test_pivot_rejects_tiny_element():

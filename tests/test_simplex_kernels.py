@@ -2,11 +2,13 @@
 
 The reference pivot builds a fresh tableau per pivot and updates body, rhs and
 the two objective rows separately; the reference rules pick columns with
-lexsort and rows with a min over (ratio, basic index). Every pivot of the
-kernels under test must match them bit for bit. A reference solve built from
-them keeps the full (m + 2)-row tableau to the end and resets its M row once
-no artificial is basic; solve_simplex, which drops the M row and the
-artificial columns there, must take the same path to the same bits.
+lexsort and rows with a min over (ratio, basic index); the reference starting
+tableau lays out the Big-M matrix, costs and basis from the model and its
+equality form, not from to_big_m_form. Every pivot of the kernels under test
+must match them bit for bit. A reference solve built from them keeps the full
+(m + 2)-row tableau to the end and resets its M row once no artificial is
+basic; solve_simplex, which drops the M row and the artificial columns there,
+must take the same path to the same bits.
 """
 
 from dataclasses import dataclass, replace
@@ -17,10 +19,9 @@ from hypothesis import strategies as st
 
 import lpduet.simplex
 from conftest import SEED, beale_lp, klee_minty_lp, lana_model, random_bounded_lp, rng_for
-from lpduet import Relation, Sense, SimplexOptions, Status, build_model, solve_simplex
-from lpduet.model import to_big_m_form
+from lpduet import Relation, Sense, SimplexOptions, StandardForm, Status, build_model, solve_simplex
+from lpduet.model import FEASIBILITY_TOL, to_big_m_form, to_equality_form
 from lpduet.simplex import (
-    ARTIFICIAL_TOL,
     BLAND,
     LARGEST_COEFFICIENT,
     Tableau,
@@ -93,14 +94,44 @@ def ref_pivot(t, row, col, pivot_tol):
     )
 
 
-def ref_init_tableau(form):
-    """The starting tableau with an M row, also for a form with no artificial."""
-    basis_idx = list(form.starting_basis())
-    body, rhs = form.a_full, form.base.b
+@dataclass(frozen=True)
+class RefBigM:
+    """The Big-M layout, built from the model and its equality form alone."""
+
+    form: StandardForm
+    a_full: np.ndarray
+    c_fin: np.ndarray
+    c_m: np.ndarray
+    basis: tuple
+    artificial_row: dict  # artificial column -> the row it was added for
+
+
+def ref_big_m(model):
+    form = to_equality_form(model)
+    m, n0 = form.a.shape
+    art_rows = [i for i, rel in enumerate(model.relations) if rel is not Relation.LE]
+    a_full = np.zeros((m, n0 + len(art_rows)))
+    a_full[:, :n0] = form.a
+    row_art = {}
+    for k, i in enumerate(art_rows):
+        a_full[i, n0 + k] = 1.0
+        row_art[i] = n0 + k
+    # Each slack or surplus column is read off the matrix: its one nonzero row.
+    owner = {int(np.flatnonzero(form.a[:, j])[0]): j for j in range(form.n_structural, n0)}
+    basis = tuple(row_art[i] if i in row_art else owner[i] for i in range(m))
+    c_fin = np.concatenate([form.c, np.zeros(len(art_rows))])
+    c_m = np.concatenate([np.zeros(n0), np.full(len(art_rows), -1.0)])
+    return RefBigM(form, a_full, c_fin, c_m, basis, {j: i for i, j in row_art.items()})
+
+
+def ref_init_tableau(big):
+    """The starting tableau with an M row, also for a model with no artificial."""
+    basis_idx = list(big.basis)
+    body, rhs = big.a_full, big.form.b
     return RefTableau(
-        body.copy(), rhs.copy(), tuple(basis_idx),
-        form.c_fin[basis_idx] @ body - form.c_fin, form.c_m[basis_idx] @ body - form.c_m,
-        float(form.c_fin[basis_idx] @ rhs), float(form.c_m[basis_idx] @ rhs),
+        body.copy(), rhs.copy(), big.basis,
+        big.c_fin[basis_idx] @ body - big.c_fin, big.c_m[basis_idx] @ body - big.c_m,
+        float(big.c_fin[basis_idx] @ rhs), float(big.c_m[basis_idx] @ rhs),
     )
 
 
@@ -122,9 +153,8 @@ def assert_same_bits(t, ref):
 
 def run_lockstep(model, opts, limit=500):
     """Pivot the kernels and the references side by side; return the count."""
-    form = to_big_m_form(model)
-    t = init_tableau(form)
-    ref = ref_init_tableau(form)
+    t = init_tableau(to_big_m_form(model))
+    ref = ref_init_tableau(ref_big_m(model))
     assert_same_bits(t, ref)
     for k in range(limit):
         enter = select_entering(t, opts)
@@ -185,9 +215,9 @@ def ref_solve_simplex(model, opts):
     values: 0 on the form's columns, 1 on the artificials, and obj_m 0.
     Returns (on_pivot stream, status, x, the pivot count at the reset or None).
     """
-    form = to_big_m_form(model)
-    n_base = form.base.n_cols
-    ref = ref_init_tableau(form)
+    big = ref_big_m(model)
+    n_base = big.form.n_cols
+    ref = ref_init_tableau(big)
     m = ref.rhs.shape[0]
     tol = opts.pivot_tol
 
@@ -198,7 +228,7 @@ def ref_solve_simplex(model, opts):
         return replace(ref, z_m=z_m, obj_m=0.0)
 
     switch = None
-    if not form.artificial_cols:
+    if not big.artificial_row:
         ref, switch = reset(ref), 0
     effective = opts
     degenerate_run = 0
@@ -223,10 +253,10 @@ def ref_solve_simplex(model, opts):
         if effective.anti_cycling != BLAND and degenerate_run >= 3 * m:
             effective = replace(opts, anti_cycling=BLAND)
 
-    b = form.base.b
-    art_row = dict(form.artificial_cols)
+    b = big.form.b
+    art_row = big.artificial_row
     if any(
-        j in art_row and ref.rhs[r] > ARTIFICIAL_TOL * (1.0 + abs(float(b[art_row[j]])))
+        j in art_row and ref.rhs[r] > FEASIBILITY_TOL * (1.0 + abs(float(b[art_row[j]])))
         for r, j in enumerate(ref.basis)
     ):
         if status is not Status.ITERATION_LIMIT:
@@ -236,16 +266,16 @@ def ref_solve_simplex(model, opts):
         return stream, status, None, switch
     x_full = np.zeros(ref.body.shape[1])
     x_full[list(ref.basis)] = np.where(ref.rhs > 0.0, ref.rhs, 0.0)
-    return stream, status, x_full[: form.base.n_structural], switch
+    return stream, status, x_full[: big.form.n_structural], switch
 
 
 def assert_solve_matches_reference(model, opts, monkeypatch):
     """Same on_pivot stream and x bits as the reference solve; every pivot
     after the switch runs on the (m + 1) x (n_base + 1) tableau, and reports
     obj_m as +0.0. Returns (pivots, pivots after the switch)."""
-    form = to_big_m_form(model)
-    m, n_full = form.a_full.shape
-    n_base = form.base.n_cols
+    big = ref_big_m(model)
+    m, n_full = big.a_full.shape
+    n_base = big.form.n_cols
     shapes = []
 
     def traced_pivot(t, *args, **kwargs):
@@ -287,6 +317,17 @@ def test_solve_matches_reference_across_the_phase_2_switch(monkeypatch):
     assert 0 < total - phase2 < phase2
 
 
+def row_tableau(z_fin, z_m=None):
+    """A one-row tableau, body e_0 and rhs 1, over the given objective rows."""
+    n = z_fin.size
+    full = np.zeros((2 if z_m is None else 3, n + 1))
+    full[0, [0, n]] = 1.0
+    full[1, :n] = z_fin
+    if z_m is not None:
+        full[2, :n] = z_m
+    return Tableau(full, (0,))
+
+
 # Exact ties, M parts at and around +-pivot_tol (1e-9), and rounding residues.
 _M_PARTS = (0.0, -0.0, 1e-17, -1e-17, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, -1.0, -2.0, 1.0)
 _FINITE_PARTS = (0.0, -0.0, 1e-9, -1e-9, -2e-9, -1.0, -3.0, 2.0)
@@ -305,8 +346,7 @@ _FINITE_PARTS = (0.0, -0.0, 1e-9, -1e-9, -2e-9, -1.0, -3.0, 2.0)
 def test_select_entering_matches_reference(columns, rule):
     z_m = np.array([mc for mc, _ in columns])
     z_fin = np.array([fc for _, fc in columns])
-    n = len(columns)
-    t = Tableau(np.eye(1, n), np.ones(1), (0,), z_fin, z_m, 0.0, 0.0)
+    t = row_tableau(z_fin, z_m)
     opts = SimplexOptions(anti_cycling=rule)
     enter = select_entering(t, opts)
     assert enter == ref_select_entering(t, opts)
@@ -322,7 +362,7 @@ def test_select_entering_matches_reference(columns, rule):
 def test_select_entering_without_m_row_matches_reference(z_fin, rule):
     z_fin = np.array(z_fin)
     n = z_fin.size
-    t = Tableau(np.eye(1, n), np.ones(1), (0,), z_fin, None, 0.0)
+    t = row_tableau(z_fin)
     assert t.z_m is None and t.full.shape == (2, n + 1)
     ref = RefTableau(t.body, t.rhs, t.basis, z_fin, np.zeros(n), 0.0, 0.0)
     opts = SimplexOptions(anti_cycling=rule)
@@ -343,7 +383,7 @@ def phase_2_lana_tableau():
         t = pivot(t, select_leaving(t, enter, opts), enter)
     kept = t.full[: t.rhs.shape[0] + 1].copy()
     t.drop_artificials(n_base)
-    assert t.full.shape == (form.a_full.shape[0] + 1, n_base + 1)
+    assert t.full.shape == (form.base.n_rows + 1, n_base + 1)
     assert t.full.flags.c_contiguous and t.full.base is None
     assert t.full[:, :-1].tobytes() == np.ascontiguousarray(kept[:, :n_base]).tobytes()
     assert t.full[:, -1].tobytes() == np.ascontiguousarray(kept[:, -1]).tobytes()
