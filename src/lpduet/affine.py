@@ -102,7 +102,7 @@ def step(x, d, alpha: float, zero_tol: float = 0.0) -> np.ndarray:
     x = as_vector(x)
     d = as_vector(d)
     if x.shape != d.shape:
-        raise NotInterior("x and d must have the same length")
+        raise DimensionMismatch("x and d must have the same length")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if float(x.min()) <= 0.0:

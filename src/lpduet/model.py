@@ -276,13 +276,12 @@ def independent_rows(form: StandardForm) -> StandardForm | None:
 
 @dataclass(frozen=True, eq=False)
 class BigMForm:
-    """Equality form plus one artificial column per >= or = row.
+    """Equality form plus one artificial variable per >= or = row.
 
-    The artificial columns follow the columns of ``base``: column
-    ``base.n_cols + k`` is the unit column of row ``artificial_rows[k]``, the
-    rows in increasing order. Each artificial costs -M for a symbolically
-    infinite penalty M and nothing finite; simplex.init_tableau lays out the
-    columns, costs and starting basis from these two fields.
+    Artificial k, numbered ``base.n_cols + k``, is the unit column of row
+    ``artificial_rows[k]``, the rows in increasing order. It costs -M for a
+    symbolically infinite penalty M and nothing finite. simplex.init_tableau
+    stores no column for it: it starts basic and is discarded once it leaves.
     """
 
     base: StandardForm
@@ -290,9 +289,9 @@ class BigMForm:
 
 
 def to_big_m_form(model: LPModel) -> BigMForm:
-    """The equality form and the rows that get an artificial column: every >=
-    or = row, so that the slack and artificial columns together hold an exact
-    identity submatrix, the simplex engine's starting basis.
+    """The equality form and the rows that get an artificial: every >= or =
+    row, so that the slack columns and the artificials' unit columns together
+    form an exact identity, the simplex engine's starting basis.
     """
     artificial_rows = np.flatnonzero(np.array(model.relations) != Relation.LE)
     return BigMForm(to_equality_form(model), artificial_rows)

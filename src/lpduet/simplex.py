@@ -1,20 +1,22 @@
 """Big-M tableau simplex engine.
 
-The tableau is one float array, updated in place by one rank-1 update per
-pivot. While an artificial is basic (phase 1), the objective row is two of its
-rows, z_fin and z_m, and the objective value two of its entries, obj_fin and
-obj_m: each entry stands for fin + m * M, so the artificial penalty M stays
-symbolic. The objective row stores Z_j - C_j, compared lexicographically (the
-M coefficient first, then the finite part): optimality for a maximization
-means no entry is below -pivot_tol in that order.
+The tableau is one float array over the equality form's n columns, updated in
+place by one rank-1 update per pivot. The artificial of the k-th >= or = row
+has no column: it lives only as basis entry n + k and through its -M cost in
+the M row. Once an artificial leaves the basis it is discarded, as in the
+textbook two-phase and Big-M methods, so it never re-enters.
 
-Once no artificial is basic (phase 2), z_m is exactly 0 on the form's columns
-and 1 on the artificials, so no artificial can re-enter and the M row decides
-nothing. The tableau then drops the M row and the artificial columns and keeps
-only the form's columns; obj_m is exactly 0.0 from there on. A form with no
-artificial column starts in phase 2. Every kept entry is updated by the same
-per-entry multiply and subtract in either shape, so the switch changes no bit
-of the path.
+While an artificial is basic (phase 1), the objective row is two of the
+array's rows, z_fin and z_m, and the objective value two of its entries,
+obj_fin and obj_m: each entry stands for fin + m * M, so the artificial penalty
+M stays symbolic. The objective row stores Z_j - C_j, compared
+lexicographically (the M coefficient first, then the finite part): optimality
+for a maximization means no entry is below -pivot_tol in that order.
+
+Once no artificial is basic (phase 2), z_m is exactly 0 and decides nothing.
+The tableau then keeps the first m + 1 rows of the same array, a view, and
+obj_m is exactly 0.0 from there on. A form with no artificial starts in
+phase 2.
 """
 
 from __future__ import annotations
@@ -44,23 +46,21 @@ class SimplexOptions:
         if isinstance(self.max_pivots, bool) or not isinstance(self.max_pivots, int) or self.max_pivots < 1:
             raise ValueError("max_pivots must be an integer of at least 1")
         if self.anti_cycling not in (LARGEST_COEFFICIENT, BLAND):
-            raise ValueError(f"unknown anti-cycling rule {self.anti_cycling!r}")
+            raise ValueError(f"unknown anti_cycling rule {self.anti_cycling!r}")
 
 
 class Tableau:
     """One simplex tableau: its basis, and a single float array, `full`.
 
-    Phase 1, while an artificial is basic: `full` is (m + 2) x (n + 1) over
-    all n columns of the Big-M form, laid out by init_tableau. Rows 0..m-1 are
-    the body, row m the finite objective row, row m + 1 the M objective row;
-    the last column holds rhs, obj_fin and obj_m.
-
-    Phase 2, once none is basic: `full` is (m + 1) x (n_base + 1) over the
-    equality form's n_base columns only, with no M row (`z_m` is None) and
-    obj_m exactly 0.0. m is len(basis), so the row count gives the phase.
+    `full` spans the equality form's n columns plus the rhs column. Rows
+    0..m-1 are the body and row m the finite objective row; in phase 1, while
+    an artificial is basic, row m + 1 is the M objective row. The last column
+    holds rhs, obj_fin and obj_m. m is len(basis), so the row count gives the
+    phase; in phase 2 `z_m` is None and obj_m is exactly 0.0. A basis entry
+    n + k is the artificial of row artificial_rows[k], which has no column.
 
     `body`, `rhs`, `z_fin` and `z_m` are views into `full`, and pivot()
-    updates it in place; drop_artificials() replaces it.
+    updates it in place.
     """
 
     __slots__ = ("full", "basis", "body", "rhs", "z_fin", "z_m")
@@ -78,15 +78,9 @@ class Tableau:
         self.z_fin = full[m, :n]
         self.z_m = full[m + 1, :n] if full.shape[0] == m + 2 else None
 
-    def drop_artificials(self, n_base: int) -> None:
-        """Switch to phase 2: copy the body, rhs, z_fin and obj_fin over the
-        first n_base columns into one new contiguous array, without the M row.
-        """
-        m = len(self.basis)
-        full = np.empty((m + 1, n_base + 1))
-        full[:, :n_base] = self.full[: m + 1, :n_base]
-        full[:, n_base] = self.full[: m + 1, -1]
-        self._attach(full)
+    def drop_m_row(self) -> None:
+        """Switch to phase 2: keep the first m + 1 rows of `full`, a view."""
+        self._attach(self.full[: len(self.basis) + 1])
 
     @property
     def obj_fin(self) -> float:
@@ -100,31 +94,27 @@ class Tableau:
 def init_tableau(form: BigMForm) -> Tableau:
     """Starting tableau of a Big-M form, written straight into one array.
 
-    The body is the equality form's A followed by the artificial columns:
-    column n_base + k is 1 on row artificial_rows[k]. The basis holds each <=
-    row's slack column and each other row's artificial, an identity
-    submatrix. The objective rows hold Z_j - C_j: no basic column has a
-    finite cost, so z_fin is -c and obj_fin 0; each basic artificial costs
-    -M, so z_m is minus the sum of the artificial rows, 0 on the artificials.
-    A form with no artificial column starts in phase 2, with no M row.
+    The body is the equality form's A and the basis holds each <= row's slack
+    column and each other row's artificial, basis entry n + k for row
+    artificial_rows[k], so the basic columns form an identity. The objective
+    rows hold Z_j - C_j: no basic column has a finite cost, so z_fin is -c and
+    obj_fin 0; each basic artificial costs -M, so z_m is minus the sum of the
+    artificial rows and obj_m minus the sum of their rhs. A form with no
+    artificial starts in phase 2, with no M row.
     """
     base, rows = form.base, form.artificial_rows
-    m, n_base = base.a.shape
-    n = n_base + rows.size
-    artificials = np.arange(n_base, n)
+    m, n = base.a.shape
     full = np.zeros((m + 2 if rows.size else m + 1, n + 1))
-    full[:m, :n_base] = base.a
-    full[rows, artificials] = 1.0
+    full[:m, :n] = base.a
     full[:m, n] = base.b
     basis = np.empty(m, dtype=np.intp)
     basis[base.slack_rows] = base.n_structural + np.arange(base.slack_rows.size)
-    basis[rows] = artificials
-    full[m, :n_base] = 0.0 - base.c  # +0.0, not -0.0, where c is zero
+    basis[rows] = n + np.arange(rows.size)
+    full[m, :n] = 0.0 - base.c  # +0.0, not -0.0, where c is zero
     if rows.size:
         c_m_basic = np.zeros(m)
         c_m_basic[rows] = -1.0
         full[m + 1, :n] = c_m_basic @ full[:m, :n]
-        full[m + 1, n_base:n] += 1.0  # minus the artificials' cost of -1
         full[m + 1, n] = c_m_basic @ base.b  # not the strided rhs: it rounds differently
     return Tableau(full, tuple(basis.tolist()))
 
@@ -222,11 +212,11 @@ def solve_simplex(
 ) -> Solution:
     """Run the Big-M simplex on a model.
 
-    Phase 1 pivots on the (m + 2) x (n + 1) tableau of the Big-M form while
-    an artificial is basic. After the pivot that takes the last one out of
-    the basis, phase 2 goes on with the (m + 1) x (n_base + 1) tableau of the
-    equality form's columns alone; a form with no artificial starts there.
-    Artificials cannot re-enter, so the switch changes no pivot.
+    Phase 1 pivots on the (m + 2) x (n + 1) tableau over the equality form's
+    n columns while an artificial is basic. After the pivot that takes the
+    last one out of the basis, phase 2 goes on with the first m + 1 rows of
+    the same array, without the M row; a form with no artificial starts
+    there. An artificial has no column, so it cannot re-enter.
 
     Pivots until no entering column remains (optimal or, if an artificial is
     still basic above tolerance, infeasible), the ratio test finds no row
@@ -247,7 +237,7 @@ def solve_simplex(
     form = to_big_m_form(model)
     t = init_tableau(form)
     m_rows = t.rhs.shape[0]
-    n_base = form.base.n_cols  # the artificial columns follow the form's
+    n_base = form.base.n_cols  # basis entries from n_base on are artificials
 
     effective = opts
     degenerate_run = 0
@@ -267,11 +257,9 @@ def solve_simplex(
         t = pivot(t, leave, enter, opts.pivot_tol)
         pivots += 1
         if leaving_col >= n_base and max(t.basis) < n_base:
-            # No artificial is basic any more: in exact arithmetic z_m is 0 on
-            # the form's columns and 1 on the artificials, and obj_m is 0, so
-            # no artificial can re-enter. Drop the M row, with its rounding
-            # residue, and the artificial columns.
-            t.drop_artificials(n_base)
+            # No artificial is basic any more: in exact arithmetic z_m and
+            # obj_m are 0. Drop the M row, with its rounding residue.
+            t.drop_m_row()
         if on_pivot is not None:
             on_pivot(pivots, enter, leaving_col, t.obj_fin, t.obj_m)
         degenerate_run = degenerate_run + 1 if degenerate else 0
@@ -287,6 +275,6 @@ def solve_simplex(
         return solution_at(base, status, pivots)
     if status is Status.UNBOUNDED:
         return solution_at(base, status, pivots)
-    x_full = np.zeros(t.body.shape[1])
+    x_full = np.zeros(n_base + form.artificial_rows.size)  # a level-0 artificial may stay basic
     x_full[list(t.basis)] = np.where(t.rhs > 0.0, t.rhs, 0.0)
     return solution_at(base, status, pivots, x_full[: base.n_cols])

@@ -3,8 +3,8 @@
 import pytest
 
 from conftest import beale_lp, klee_minty_lp
-from lpduet import SimplexOptions, Status, solve_simplex
-from lpduet.model import to_big_m_form
+from lpduet import SimplexOptions, Status, brute_force_optimum, solve_affine, solve_simplex
+from lpduet.model import to_big_m_form, to_equality_form
 from lpduet.simplex import BLAND, init_tableau, pivot, select_entering, select_leaving
 
 # (entering, leaving) column pairs. The first nine pivots are degenerate; after
@@ -56,3 +56,22 @@ def test_klee_minty_visits_every_vertex(n):
     assert sol.status is Status.OPTIMAL
     assert sol.iterations == 2**n - 1
     assert sol.objective == pytest.approx(100.0 ** (n - 1), rel=1e-12)
+
+
+KNOWN_OPTIMA = [pytest.param(beale_lp(), 1.25, id="beale")] + [
+    pytest.param(klee_minty_lp(n), 100.0 ** (n - 1), id=f"klee-minty-{n}") for n in range(2, 8)
+]
+
+
+@pytest.mark.parametrize("model, optimum", KNOWN_OPTIMA)
+def test_affine_engine_and_oracle_reach_the_known_optimum(model, optimum):
+    # The path the simplex walks on these models says nothing of the other
+    # two: the affine engine cuts through the interior, and the oracle sees
+    # every basis (3,432 candidates for Klee-Minty n = 7).
+    form = to_equality_form(model)
+    interior, _ = solve_affine(form)
+    assert interior.status is Status.OPTIMAL
+    assert interior.objective == pytest.approx(optimum, rel=1e-5)
+    oracle = brute_force_optimum(form)
+    assert oracle.status is Status.OPTIMAL
+    assert oracle.objective == pytest.approx(optimum, rel=1e-9)

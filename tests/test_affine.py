@@ -9,8 +9,10 @@ import lpduet.affine
 
 from conftest import lana_model, rng_for, random_bounded_lp
 from lpduet import (
+    DimensionMismatch,
     InfeasibleInterior,
     IpmOptions,
+    NotInterior,
     Relation,
     Sense,
     Status,
@@ -98,6 +100,37 @@ def test_projected_direction_stays_in_nullspace():
         ahat = form.a * x
         bound = 1e-7 * (1.0 + np.linalg.norm(ahat) * np.linalg.norm(result.d))
         assert np.linalg.norm(ahat @ result.d) <= bound
+
+
+@pytest.mark.parametrize(
+    "a, c, x, error",
+    [
+        (np.ones((1, 3)), np.ones(2), np.ones(2), DimensionMismatch),  # A is too wide
+        (np.ones((1, 2)), np.ones(3), np.ones(2), DimensionMismatch),  # c is too long
+        (np.ones((1, 2)), np.ones(2), np.array([1.0, 0.0]), NotInterior),
+        (np.ones((1, 2)), np.ones(2), np.array([1.0, -1.0]), NotInterior),
+    ],
+    ids=["wide-a", "long-c", "zero-x", "negative-x"],
+)
+def test_projected_direction_rejects_bad_input(a, c, x, error):
+    with pytest.raises(error):
+        projected_direction(a, c, x)
+
+
+@pytest.mark.parametrize(
+    "x, d, alpha, error",
+    [
+        (np.ones(2), np.ones(3), 0.5, DimensionMismatch),
+        (np.ones(2), np.array([1.0, -1.0]), 0.0, ValueError),
+        (np.ones(2), np.array([1.0, -1.0]), 1.0, ValueError),
+        (np.array([1.0, 0.0]), np.array([1.0, -1.0]), 0.5, NotInterior),
+        (np.array([1.0, -1.0]), np.array([1.0, -1.0]), 0.5, NotInterior),
+    ],
+    ids=["length", "alpha-0", "alpha-1", "zero-origin", "negative-origin"],
+)
+def test_step_rejects_bad_input(x, d, alpha, error):
+    with pytest.raises(error):
+        step(x, d, alpha)
 
 
 def test_step_hand_example():

@@ -88,6 +88,27 @@ def test_build_model_rejects_bad_input():
         build_model(Sense.MAX, ("x",), (1.0,), [("max", (1.0,), Relation.LE, 1.0)])
 
 
+def test_build_model_reads_sense_and_relation_strings():
+    built = build_model(
+        "MAX",
+        ("x", "y"),
+        (3.0, 2.0),
+        [((1.0, 1.0), "<=", 4.0), ((1.0, 0.0), ">=", 1.0), ((0.0, 1.0), "=", 2.0)],
+    )
+    assert built == build_model(
+        Sense.MAX,
+        ("x", "y"),
+        (3.0, 2.0),
+        [
+            ((1.0, 1.0), Relation.LE, 4.0),
+            ((1.0, 0.0), Relation.GE, 1.0),
+            ((0.0, 1.0), Relation.EQ, 2.0),
+        ],
+    )
+    assert built.sense is Sense.MAX
+    assert built.relations == (Relation.LE, Relation.GE, Relation.EQ)
+
+
 def test_model_equality_is_structural():
     assert toy_model() == toy_model()
     other = build_model(
@@ -252,27 +273,28 @@ def test_to_big_m_form_lana_structure():
     model = lana_model()
     bm = to_big_m_form(model)
     t = init_tableau(bm)
-    assert t.body.shape == (15, 30)
+    assert t.body.shape == (15, 21)
     assert len(bm.artificial_rows) == 9
     assert bm.artificial_rows.tolist() == [
         i for i, rel in enumerate(model.relations) if rel is not Relation.LE
     ]
     artificial_cols = [t.basis[row] for row in bm.artificial_rows]
     assert artificial_cols == list(range(21, 30))
-    # each basic artificial carries the -M penalty and no finite cost: the
-    # objective rows read 0 on it, z_m elsewhere is minus the sum of the
-    # artificial rows and obj_m minus the sum of their rhs
-    for col, row in zip(artificial_cols, bm.artificial_rows):
-        assert t.z_m[col] == 0.0
-        assert t.z_fin[col] == 0.0
-        assert t.body[row, col] == 1.0
-    npt.assert_allclose(t.z_m[:21], -bm.base.a[bm.artificial_rows].sum(axis=0), atol=1e-12)
+    # each basic artificial carries the -M penalty and no finite cost, and
+    # has no stored column: z_m is minus the sum of the artificial rows and
+    # obj_m minus the sum of their rhs
+    npt.assert_allclose(t.z_m, -bm.base.a[bm.artificial_rows].sum(axis=0), atol=1e-12)
     assert t.obj_m == pytest.approx(-bm.base.b[bm.artificial_rows].sum(), rel=1e-15)
     assert t.obj_fin == 0.0
     basis = t.basis
     assert len(basis) == 15
-    ident = t.body[:, list(basis)]
-    npt.assert_array_equal(ident, np.eye(15))
+    stored = [(row, col) for row, col in enumerate(basis) if col < 21]
+    assert len(stored) == 6
+    for row, col in stored:
+        assert t.z_m[col] == 0.0
+        assert t.z_fin[col] == 0.0
+    rows, cols = zip(*stored)
+    npt.assert_array_equal(t.body[:, list(cols)], np.eye(15)[:, list(rows)])
 
 
 def test_constraint_residuals_reports_binding_rows():
@@ -295,6 +317,11 @@ def test_constraint_residuals_reports_binding_rows():
 def test_constraint_residuals_rejects_negative_point():
     m = toy_model()
     assert not constraint_residuals(m, np.array([-1.0, 0.0])).feasible
+
+
+def test_constraint_residuals_rejects_a_point_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch, match="point has 3 entries for 2 variables"):
+        constraint_residuals(toy_model(), np.ones(3))
 
 
 def test_constraint_residuals_equality_row():

@@ -253,6 +253,7 @@ def test_iteration_limit():
         ("max_pivots", 0),
         ("max_pivots", 2.5),  # a TypeError from range() deep in the solve
         ("max_pivots", True),
+        ("anti_cycling", "dantzig"),
     ],
 )
 def test_simplex_options_reject_bad_values(field, value):

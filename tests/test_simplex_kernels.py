@@ -4,11 +4,14 @@ The reference pivot builds a fresh tableau per pivot and updates body, rhs and
 the two objective rows separately; the reference rules pick columns with
 lexsort and rows with a min over (ratio, basic index); the reference starting
 tableau lays out the Big-M matrix, costs and basis from the model and its
-equality form, not from to_big_m_form. Every pivot of the kernels under test
-must match them bit for bit. A reference solve built from them keeps the full
-(m + 2)-row tableau to the end and resets its M row once no artificial is
-basic; solve_simplex, which drops the M row and the artificial columns there,
-must take the same path to the same bits.
+equality form, not from to_big_m_form. The references are the textbook
+full-width Big-M, with one unit column per artificial; the kernels store only
+the equality form's columns. Every pivot of the kernels must match them bit
+for bit on those columns, and the entering column must be the same, so no
+tested run lets an artificial re-enter. A reference solve built from them
+keeps the full (m + 2)-row tableau to the end and resets its M row once no
+artificial is basic; solve_simplex, which drops the M row there, must take
+the same path to the same bits.
 """
 
 from dataclasses import dataclass, replace
@@ -136,7 +139,8 @@ def ref_init_tableau(big):
 
 
 def assert_same_bits(t, ref):
-    """t matches ref on t's columns; with no M row, ref's is zero there."""
+    """t matches ref on t's columns, the equality form's; with no M row,
+    ref's is zero there."""
     n = t.body.shape[1]
     assert t.body.tobytes() == np.ascontiguousarray(ref.body[:, :n]).tobytes()
     assert t.rhs.tobytes() == ref.rhs.tobytes()
@@ -146,7 +150,7 @@ def assert_same_bits(t, ref):
         assert not ref.z_m[:n].any() and ref.obj_m == 0.0
         assert t.obj_m.hex() == POSITIVE_ZERO
     else:
-        assert t.z_m.tobytes() == ref.z_m.tobytes()
+        assert t.z_m.tobytes() == ref.z_m[:n].tobytes()
         assert t.obj_m.hex() == ref.obj_m.hex()
     assert t.basis == ref.basis
 
@@ -271,11 +275,11 @@ def ref_solve_simplex(model, opts):
 
 def assert_solve_matches_reference(model, opts, monkeypatch):
     """Same on_pivot stream and x bits as the reference solve; every pivot
-    after the switch runs on the (m + 1) x (n_base + 1) tableau, and reports
-    obj_m as +0.0. Returns (pivots, pivots after the switch)."""
+    runs on the equality form's n_base columns, after the switch without the
+    M row, and reports obj_m as +0.0 there. Returns (pivots, pivots after the
+    switch)."""
     big = ref_big_m(model)
-    m, n_full = big.a_full.shape
-    n_base = big.form.n_cols
+    m, n_base = big.form.a.shape
     shapes = []
 
     def traced_pivot(t, *args, **kwargs):
@@ -296,7 +300,7 @@ def assert_solve_matches_reference(model, opts, monkeypatch):
     if ref_x is not None:
         assert sol.x.tobytes() == ref_x.tobytes()
     phase2 = 0 if switch is None else len(stream) - switch
-    assert shapes == [(m + 2, n_full + 1)] * (len(stream) - phase2) + [(m + 1, n_base + 1)] * phase2
+    assert shapes == [(m + 2, n_base + 1)] * (len(stream) - phase2) + [(m + 1, n_base + 1)] * phase2
     assert all(mc == POSITIVE_ZERO for *_, mc in stream[len(stream) - phase2 :])
     return len(stream), phase2
 
@@ -381,12 +385,12 @@ def phase_2_lana_tableau():
     while max(t.basis) >= n_base:
         enter = select_entering(t, opts)
         t = pivot(t, select_leaving(t, enter, opts), enter)
-    kept = t.full[: t.rhs.shape[0] + 1].copy()
-    t.drop_artificials(n_base)
+    phase_1 = t.full
+    kept = phase_1[: t.rhs.shape[0] + 1].tobytes()
+    t.drop_m_row()
     assert t.full.shape == (form.base.n_rows + 1, n_base + 1)
-    assert t.full.flags.c_contiguous and t.full.base is None
-    assert t.full[:, :-1].tobytes() == np.ascontiguousarray(kept[:, :n_base]).tobytes()
-    assert t.full[:, -1].tobytes() == np.ascontiguousarray(kept[:, -1]).tobytes()
+    assert t.full.flags.c_contiguous and t.full.base is phase_1
+    assert t.full.tobytes() == kept
     return t
 
 
@@ -399,9 +403,11 @@ def test_pivot_updates_one_array_in_place():
         assert type(leave) is int
         assert pivot(t, leave, np.int64(enter)) is t
         assert t.full is full
+        # in phase 2, full is itself a view of the phase-1 array
+        owner = full if full.base is None else full.base
         views = (t.body, t.rhs, t.z_fin) + (() if t.z_m is None else (t.z_m,))
         for view in views:
-            assert view.base is full
+            assert view.base is owner
         assert isinstance(t.basis, tuple)
         assert all(type(j) is int for j in t.basis)
         assert t.basis[leave] == enter
