@@ -2,8 +2,11 @@
 
 A Big-M tableau simplex and a primal affine-scaling interior point method
 over a shared model layer, cross-checked by a brute-force basic-solution
-oracle, with a small LP text format and a CLI.
+oracle, with a small LP text format and a CLI. The oracle loads scipy.linalg,
+so it is imported on first lookup (PEP 562).
 """
+
+import importlib
 
 from .errors import (
     DimensionMismatch,
@@ -38,7 +41,6 @@ from .affine import (
     solve_affine,
     step,
 )
-from .oracle import brute_force_optimum
 from .lp_format import lana_lp_path, parse_lp_text, write_lp_text
 from .reporting import (
     IPM_TRACE_HEADER,
@@ -51,6 +53,14 @@ from .reporting import (
 from .cli import run_cli
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("oracle", "brute_force_optimum"):
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else oracle.brute_force_optimum
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DimensionMismatch",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleInterior, NotInterior, UnboundedDirection
 from .linalg import as_matrix, as_vector, cholesky, gram, solve_spd
-from .model import Solution, StandardForm, Status, independent_rows, solution_at
+from .model import Solution, StandardForm, Status, independent_rows, native_objective, solution_at
 
 # Iterate budget for ||A x - b||, relative to 1 + ||b||.
 EQUALITY_RTOL = 1e-7
@@ -209,10 +209,9 @@ def solve_affine(
 
     b_scale = 1.0 + float(np.linalg.norm(b))
     budget = EQUALITY_RTOL * b_scale
-    sign = -1.0 if form.negated else 1.0  # the rows report the model's own sense
     obj = float(c @ x)
     resid = float(np.linalg.norm(b - a @ x))
-    rows = [(0, sign * obj, math.inf, float(x.min()), resid / b_scale)]
+    rows = [(0, native_objective(obj, form.negated), math.inf, float(x.min()), resid / b_scale)]
     status = Status.ITERATION_LIMIT
     iterations = 0
     for k in range(1, opts.max_iter + 1):
@@ -234,7 +233,8 @@ def solve_affine(
         step_norm = float(np.linalg.norm(x_new - x)) / (1.0 + float(np.linalg.norm(x)))
         obj_new = float(c @ x_new)
         iterations = k
-        rows.append((k, sign * obj_new, step_norm, float(x_new.min()), resid / b_scale))
+        objective = native_objective(obj_new, form.negated)
+        rows.append((k, objective, step_norm, float(x_new.min()), resid / b_scale))
         comp = float(np.abs(direction.d).max())
         converged = (
             step_norm <= opts.tol

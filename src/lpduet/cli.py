@@ -22,7 +22,7 @@ from .affine import IpmOptions, solve_affine
 from .errors import InfeasibleInterior, LpError
 from .linalg import load_lapack
 from .lp_format import lana_lp_path, parse_lp_text
-from .model import LPModel, Sense, Solution, Status, solution_at, to_equality_form
+from .model import LPModel, Sense, Solution, Status, native_objective, solution_at, to_equality_form
 from .reporting import (
     build_report,
     write_report_pair,
@@ -99,11 +99,11 @@ def _options(ns) -> dict:
 
 def _run_simplex(model: LPModel, opts: SimplexOptions) -> tuple[Solution, list[tuple]]:
     rows: list[tuple] = []
-    sign = -1.0 if model.sense is Sense.MIN else 1.0
+    negated = model.sense is Sense.MIN
 
     def record(iteration, entering, leaving, obj_finite, _obj_m):
         # on_pivot reports the maximize sense; the trace uses the model's own.
-        rows.append((iteration, sign * obj_finite, entering, leaving))
+        rows.append((iteration, native_objective(obj_finite, negated), entering, leaving))
 
     return solve_simplex(model, opts, on_pivot=record), rows
 

@@ -313,6 +313,11 @@ class Solution:
     binding: tuple[int, ...]
 
 
+def native_objective(value: float, negated: bool) -> float:
+    """A maximize-sense objective in the model's own sense; never -0.0 when negated."""
+    return 0.0 - value if negated else value
+
+
 def solution_at(
     form: StandardForm, status: Status, iterations: int, x_full: np.ndarray | None = None
 ) -> Solution:
@@ -327,9 +332,7 @@ def solution_at(
         return Solution(status, None, None, iterations, ())
     n = form.n_structural
     x = x_full[:n].copy()
-    value = float(form.c[:n] @ x)
-    # 0.0 - value negates exactly and, like a dot product, never gives -0.0.
-    objective = 0.0 - value if form.negated else value
+    objective = native_objective(float(form.c[:n] @ x), form.negated)
     rows = form.slack_rows
     binding = np.ones(form.n_rows, dtype=bool)
     binding[rows] = np.abs(x_full[n:]) <= FEASIBILITY_TOL * (1.0 + np.abs(form.b[rows]))

@@ -9,9 +9,13 @@ each kept row of A and b is divided by its largest |entry|. Subsets are
 gathered 64 at a time and each is factored in place by LAPACK's
 partial-pivoting LU; one is nonsingular, and solved, when its largest entry is
 nonzero and no LU pivot falls below SINGULAR_RTOL times that entry. Those two
-kernel calls are the only work done per basis: feasibility is tested once per
-batch, and brute_force_optimum builds a point and an objective only for the
-feasible bases.
+kernel calls are the only work done per basis: feasibility (every basic value
+>= -FEASIBLE_TOL) is tested once per batch, and brute_force_optimum builds a
+point and an objective only for the feasible bases.
+
+The kernels are scipy's dgetrf and dgetrs, called through the module
+attributes lu_factor and lu_solve so that tools can count and time them.
+Importing this module loads scipy.linalg; the package imports it on first use.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 from typing import Iterator
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf as lu_factor, dgetrs as lu_solve
 
 from .errors import TooLarge
 from .model import SINGULAR_RTOL, Solution, StandardForm, Status, independent_rows, solution_at
@@ -28,33 +33,6 @@ from .model import SINGULAR_RTOL, Solution, StandardForm, Status, independent_ro
 MAX_BASES = 10**6
 FEASIBLE_TOL = 1e-9
 _BATCH = 64  # larger batches only raise the peak memory
-_lapack_bound = False
-
-
-def _bind_lapack() -> None:
-    """Bind lu_factor and lu_solve to scipy.linalg.lu_factor/lu_solve's LAPACK
-    kernels (dgetrf/dgetrs) without their per-call dispatch.
-
-    They are module attributes, called once per candidate and once per
-    nonsingular candidate, so tools can count and time the oracle through
-    them. They are bound on first use, not on import, so that importing
-    lpduet does not load scipy.linalg; once bound they are never rebound.
-    """
-    global _lapack_bound, lu_factor, lu_solve
-    if not _lapack_bound:
-        from scipy.linalg.lapack import dgetrf, dgetrs
-
-        lu_factor, lu_solve = dgetrf, dgetrs
-        _lapack_bound = True
-
-
-def __getattr__(name: str):
-    # The first lookup of lu_factor or lu_solve from outside the module binds
-    # them both (PEP 562); a name deleted after that stays missing.
-    if name in ("lu_factor", "lu_solve") and not _lapack_bound:
-        _bind_lapack()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -87,7 +65,6 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
     row_scale[row_scale == 0.0] = 1.0
     a = kept.a / row_scale[:, None]  # a new float64 array: dgetrf works in place on it
     b = kept.b / row_scale
-    _bind_lapack()
     diagonal = np.arange(m)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), m))
     for start in range(0, total, _BATCH):
@@ -104,11 +81,6 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
         yield idx[keep], np.array(xbs).reshape(len(keep), m)
 
 
-def _feasible(values: np.ndarray) -> np.ndarray:
-    """Rows whose basic values are all >= -FEASIBLE_TOL."""
-    return (values >= -FEASIBLE_TOL).all(axis=1)
-
-
 def brute_force_optimum(form: StandardForm) -> Solution:
     """Best feasible basic solution, or INFEASIBLE when none exists.
 
@@ -123,7 +95,7 @@ def brute_force_optimum(form: StandardForm) -> Solution:
     count = 0
     for idx, xbs in _nonsingular_batches(form):
         count += len(idx)
-        for k in np.flatnonzero(_feasible(xbs)):
+        for k in np.flatnonzero((xbs >= -FEASIBLE_TOL).all(axis=1)):
             x = np.zeros(n)
             x[idx[k]] = xbs[k]
             objective = float(form.c @ x)

@@ -49,11 +49,11 @@ def build_report(method: str, model: LPModel, solution: Solution, wall_time_ms: 
 
 
 def _lower_bounds(model: LPModel) -> dict[int, float]:
-    """Variable index -> bound of its first single-variable ``>=`` row."""
+    """Variable index -> bound of its first single-variable ``>=`` row with a positive coefficient."""
     bounds: dict[int, float] = {}
     for i in np.flatnonzero(np.count_nonzero(model.a, axis=1) == 1):
-        if model.relations[i] is Relation.GE:
-            j = int(np.flatnonzero(model.a[i])[0])
+        j = int(np.flatnonzero(model.a[i])[0])
+        if model.relations[i] is Relation.GE and model.a[i, j] > 0.0:
             bounds.setdefault(j, model.b[i] / model.a[i, j])
     return bounds
 

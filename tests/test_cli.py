@@ -257,6 +257,21 @@ def test_simplex_trace_objective_is_in_the_model_sense(tmp_path, capsys):
     assert float(affine[-1].split(",")[1]) == pytest.approx(2.0, rel=1e-6)
 
 
+def test_min_trace_objective_at_zero_reads_positive_zero(tmp_path, capsys):
+    # The engines maximize -objective; turning 0.0 back must give 0.0, as the
+    # report does, not -0.0.
+    flat = write(tmp_path, "min: 0 x + 0 y;\nc1: x + y <= 4;\n")
+    trace = tmp_path / "flat.csv"
+    assert run_cli(["solve", flat, "--method", "affine", "--json", "--trace", str(trace)]) == 0
+    assert repr(json.loads(capsys.readouterr().out)["objective"]) == "0.0"
+    rows = trace.read_text().splitlines()[1:]
+    assert rows and {row.split(",")[1] for row in rows} == {"0.0"}
+    tied = write(tmp_path, "min: x + y;\nc1: x + y >= 2;\nc2: x - y = 0;\n")
+    trace = tmp_path / "tied.csv"
+    assert run_cli(["solve", tied, "--method", "simplex", "--trace", str(trace)]) == 0
+    assert trace.read_text().splitlines() == [SIMPLEX_TRACE_HEADER, "1,0.0,0,4", "2,2.0,1,3"]
+
+
 def test_both_methods_trace_suffixing(tmp_path, capsys):
     target = tmp_path / "run.csv"
     code = run_cli(["solve", write(tmp_path, TOY), "--trace", str(target)])
@@ -387,18 +402,35 @@ loaded["parse"] = "scipy.linalg" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     code = run_cli(["solve", str(lana_lp_path()), "--method", "simplex"])
 loaded["simplex"] = "scipy.linalg" in sys.modules
-print(json.dumps({"code": code, "loaded": loaded}))
+loaded["oracle"] = "lpduet.oracle" in sys.modules
+from lpduet import brute_force_optimum, to_equality_form
+toy = to_equality_form(parse_lp_text("max: 3x + 2y;\\ncap: x + y <= 4;\\nwall: x <= 2;\\n"))
+oracle = {
+    "objective": brute_force_optimum(toy).objective,
+    "same": lpduet.oracle.brute_force_optimum is brute_force_optimum,
+    "scipy.linalg": "scipy.linalg" in sys.modules,
+}
+missing = [name for name in lpduet.__all__ if not hasattr(lpduet, name)]
+names = {"exported": len(lpduet.__all__), "missing": missing}
+print(json.dumps({"code": code, "loaded": loaded, "oracle": oracle, "names": names}))
 """
 
 
 def test_import_parse_and_a_simplex_run_leave_scipy_linalg_unloaded():
+    # Then the oracle, asked for by name, loads itself and scipy.linalg, and
+    # every exported name resolves.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_SCIPY], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result == {"code": 0, "loaded": {"parse": False, "simplex": False}}
+    assert result == {
+        "code": 0,
+        "loaded": {"parse": False, "simplex": False, "oracle": False},
+        "oracle": {"objective": 10.0, "same": True, "scipy.linalg": True},
+        "names": {"exported": 39, "missing": []},
+    }
 
 
 # Dependent equality rows: both engines solve on one copy of the row.

@@ -99,6 +99,17 @@ def test_lower_bound_note_takes_the_first_bound_row():
     text = write_solution_report(report, format="human", model=m)
     assert "3.000000  >= 1 (above)" in text
     assert "1.000000  >= 1 (binding)" in text
+    # -y >= 0 bounds y from above, so it is no lower-bound row.
+    m = build_model(
+        Sense.MAX,
+        ("x", "y"),
+        (1.0, 1.0),
+        [((1.0, 1.0), Relation.LE, 4.0), ((0.0, -1.0), Relation.GE, 0.0), ((1.0, 0.0), Relation.GE, 1.0)],
+    )
+    report = build_report("simplex", m, solve_simplex(m), 0.0)
+    text = write_solution_report(report, format="human", model=m)
+    assert "4.000000  >= 1 (above)\n" in text
+    assert "0.000000  -\n" in text
 
 
 def test_unknown_format_rejected():
