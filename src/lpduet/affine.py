@@ -117,11 +117,17 @@ def step(x, d, alpha: float, zero_tol: float = 0.0) -> np.ndarray:
     return x * (1.0 + (alpha / abs(gamma)) * d)
 
 
-def _least_squares_snap(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm correction of x onto A x = b; caller checks positivity."""
-    resid = b - a @ x
-    y = solve_spd(cholesky(gram(a)), resid)
-    return x + a.T @ y
+def _snap_back(a: np.ndarray, x: np.ndarray, b: np.ndarray, limit: float) -> tuple[np.ndarray, float]:
+    """x and its drift ||b - A x||, after the minimum-norm correction onto
+    A x = b when the drift exceeds limit and the corrected point stays
+    strictly positive (otherwise x is kept as it is)."""
+    gap = b - a @ x
+    resid = float(np.linalg.norm(gap))
+    if resid > limit:
+        snapped = x + a.T @ solve_spd(cholesky(gram(a)), gap)
+        if float(snapped.min()) > 0.0:
+            return snapped, float(np.linalg.norm(b - a @ snapped))
+    return x, resid
 
 
 def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> np.ndarray:
@@ -174,13 +180,9 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
             "no strictly positive feasible point found",
             iterations,
         )
-    x0 = x[:-1]
     budget = EQUALITY_RTOL * (1.0 + b_norm)
-    if float(np.linalg.norm(b - a @ x0)) > 0.5 * budget:
-        snapped = _least_squares_snap(a, x0, b)
-        if float(snapped.min()) > 0.0:
-            x0 = snapped
-    if float(x0.min()) <= 0.0 or float(np.linalg.norm(b - a @ x0)) > budget:
+    x0, resid = _snap_back(a, x[:-1], b, 0.5 * budget)
+    if float(x0.min()) <= 0.0 or resid > budget:
         raise InfeasibleInterior("phase-1 endpoint is not interior-feasible", iterations)
     return x0
 
@@ -224,12 +226,7 @@ def solve_affine(
         # Drift control: the multiplicative step preserves A x = b only up to
         # the projection residual, which compounds over hundreds of iterates
         # at large |b|; snap back before it can leave the budget.
-        resid = float(np.linalg.norm(b - a @ x_new))
-        if resid > 0.25 * budget:
-            snapped = _least_squares_snap(a, x_new, b)
-            if float(snapped.min()) > 0.0:
-                x_new = snapped
-                resid = float(np.linalg.norm(b - a @ x_new))
+        x_new, resid = _snap_back(a, x_new, b, 0.25 * budget)
         step_norm = float(np.linalg.norm(x_new - x)) / (1.0 + float(np.linalg.norm(x)))
         obj_new = float(c @ x_new)
         iterations = k

@@ -175,13 +175,13 @@ class ResidualReport(NamedTuple):
     feasible: bool
 
 
-def constraint_residuals(model: LPModel, x, tol: float = FEASIBILITY_TOL) -> ResidualReport:
+def constraint_residuals(model: LPModel, x) -> ResidualReport:
     """Per-row slack toward each constraint, plus feasibility.
 
     Residuals are oriented so nonnegative means satisfied: rhs - lhs for <=,
     lhs - rhs for >=, and |lhs - rhs| for equalities (which must stay within
-    tolerance). The per-row tolerance is tol * (1 + |rhs|); x itself must be
-    >= -tol entrywise.
+    tolerance). The per-row tolerance is FEASIBILITY_TOL * (1 + |rhs|); x
+    itself must be >= -FEASIBILITY_TOL entrywise.
     """
     x = as_vector(x)
     if x.shape[0] != model.n_vars:
@@ -193,9 +193,9 @@ def constraint_residuals(model: LPModel, x, tol: float = FEASIBILITY_TOL) -> Res
     residuals = np.where(
         relations == Relation.LE, -gap, np.where(relations == Relation.GE, gap, np.abs(gap))
     )
-    row_tol = tol * (1.0 + model.b)
+    row_tol = FEASIBILITY_TOL * (1.0 + model.b)
     satisfied = np.where(relations == Relation.EQ, residuals <= row_tol, residuals >= -row_tol)
-    return ResidualReport(residuals, bool(np.all(x >= -tol) and np.all(satisfied)))
+    return ResidualReport(residuals, bool(np.all(x >= -FEASIBILITY_TOL) and np.all(satisfied)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FEASIBILITY_TOL, LPModel, Relation, Solution
+from .model import LPModel, Relation, Solution
 
 # CSV headers are part of the interface; tools downstream match them verbatim.
 IPM_TRACE_HEADER = "iteration,objective,step_norm,min_x,residual"
@@ -48,28 +48,24 @@ def build_report(method: str, model: LPModel, solution: Solution, wall_time_ms: 
     }
 
 
-def _lower_bounds(model: LPModel) -> dict[int, float]:
-    """Variable index -> bound of its first single-variable ``>=`` row with a positive coefficient."""
-    bounds: dict[int, float] = {}
+def _lower_bound_notes(model: LPModel, binding: set[str]) -> dict[int, str]:
+    """Variable index -> ">= bound (binding|above)" for its first single-variable
+    ``>=`` row with a positive coefficient; binding when the row is in ``binding``."""
+    notes: dict[int, str] = {}
     for i in np.flatnonzero(np.count_nonzero(model.a, axis=1) == 1):
         j = int(np.flatnonzero(model.a[i])[0])
-        if model.relations[i] is Relation.GE and model.a[i, j] > 0.0:
-            bounds.setdefault(j, model.b[i] / model.a[i, j])
-    return bounds
-
-
-def _lower_bound_note(bound: float | None, value: float) -> str:
-    if bound is None:
-        return "-"
-    binding = abs(value - bound) <= FEASIBILITY_TOL * (1.0 + abs(bound))
-    return f">= {bound:g} ({'binding' if binding else 'above'})"
+        if model.relations[i] is Relation.GE and model.a[i, j] > 0.0 and j not in notes:
+            state = "binding" if model.row_names[i] in binding else "above"
+            notes[j] = f">= {model.b[i] / model.a[i, j]:g} ({state})"
+    return notes
 
 
 def write_solution_report(report: dict, format: str = "human", model: LPModel | None = None) -> str:
     """Render one report as a human table or a JSON document.
 
     The human table lists each variable with its value and, when the model is
-    available, the status of its lower-bound row.
+    available, its lower-bound row, marked binding when the report lists that
+    row as binding.
     """
     if format == "json":
         return json.dumps(report, indent=2)
@@ -85,13 +81,12 @@ def write_solution_report(report: dict, format: str = "human", model: LPModel | 
     ]
     variables = report["variables"]
     if variables:
-        bounds = {} if model is None else _lower_bounds(model)
+        notes = {} if model is None else _lower_bound_notes(model, set(report["binding_constraints"]))
         width = max(len(v["name"]) for v in variables)
         lines.append("")
         lines.append(f"{'variable':<{width + 2}}{'value':>16}  lower bound")
         for j, v in enumerate(variables):
-            note = _lower_bound_note(bounds.get(j), v["value"])
-            lines.append(f"{v['name']:<{width + 2}}{v['value']:>16.6f}  {note}")
+            lines.append(f"{v['name']:<{width + 2}}{v['value']:>16.6f}  {notes.get(j, '-')}")
     if report["binding_constraints"]:
         lines.append("")
         lines.append("binding: " + ", ".join(report["binding_constraints"]))

@@ -202,6 +202,47 @@ def test_find_interior_point_infeasible():
         find_interior_point(form)
 
 
+def one_row_form():
+    # x + y = 2 misses the phase-1 guess (2, 2), so phase 1 runs
+    m = build_model(Sense.MAX, ("x", "y"), (1.0, 0.0), [((1.0, 1.0), Relation.EQ, 2.0)])
+    return to_equality_form(m)
+
+
+@pytest.mark.parametrize(
+    "endpoint, expected",
+    [
+        # 0.1 off the row: snapped back along its normal
+        ((1.5, 0.6), (1.45, 0.55)),
+        # the snap would land on (5.9995, -3.9995), so it is refused
+        ((10.0, 1e-3), None),
+    ],
+    ids=["snapped", "refused"],
+)
+def test_phase1_endpoint_is_snapped_onto_the_rows_or_refused(monkeypatch, endpoint, expected):
+    # The first phase-1 step lands on the endpoint with the artificial at 0.
+    def landing(x, d, alpha, zero_tol=0.0):
+        return np.array([*endpoint, 0.0])
+
+    monkeypatch.setattr(lpduet.affine, "step", landing)
+    form = one_row_form()
+    if expected is None:
+        with pytest.raises(InfeasibleInterior, match="endpoint is not interior-feasible") as info:
+            find_interior_point(form)
+        assert info.value.iterations == 1
+    else:
+        npt.assert_allclose(find_interior_point(form), expected, rtol=1e-15)
+
+
+def test_phase1_stall_is_infeasible_interior(monkeypatch):
+    def stalled(x, d, alpha, zero_tol=0.0):
+        raise UnboundedDirection("projected direction has no blocking component")
+
+    monkeypatch.setattr(lpduet.affine, "step", stalled)
+    with pytest.raises(InfeasibleInterior, match="stalled") as info:
+        find_interior_point(one_row_form())
+    assert info.value.iterations == 1
+
+
 def test_solve_affine_toy():
     sol, rows = solve_affine(toy_form())
     assert sol.status is Status.OPTIMAL

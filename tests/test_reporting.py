@@ -14,6 +14,7 @@ from lpduet import (
     build_model,
     build_report,
     find_interior_point,
+    parse_lp_text,
     solve_affine,
     solve_simplex,
     to_equality_form,
@@ -110,6 +111,26 @@ def test_lower_bound_note_takes_the_first_bound_row():
     text = write_solution_report(report, format="human", model=m)
     assert "4.000000  >= 1 (above)\n" in text
     assert "0.000000  -\n" in text
+
+
+@pytest.mark.parametrize(
+    "text, note, binding",
+    [
+        # x = 0.001 sits on its bound, but row c (1000 x >= 1) keeps a slack
+        # above FEASIBILITY_TOL, so c does not bind
+        ("max: -x - y; c: 1000 x >= 1; d: y >= 0.001; cap: x + y <= 5;", ">= 0.001 (above)", "d"),
+        # x ends 1.9e-5 below its bound while row c's surplus is within tolerance
+        ("max: -x; c: 0.001 x >= 1; cap: x <= 5000;", ">= 1000 (binding)", "c"),
+    ],
+    ids=["value-on-bound", "value-below-bound"],
+)
+def test_lower_bound_label_follows_the_binding_line(text, note, binding):
+    m = parse_lp_text(text)
+    sol, _ = solve_affine(to_equality_form(m))
+    report = build_report("affine", m, sol, 0.0)
+    assert report["binding_constraints"] == [binding]
+    lines = write_solution_report(report, format="human", model=m).splitlines()
+    assert next(line for line in lines if line.startswith("x ")).endswith(note)
 
 
 def test_unknown_format_rejected():
