@@ -228,8 +228,11 @@ def to_equality_form(model: LPModel) -> StandardForm:
     """Append one slack (<=) or surplus (>=) column per inequality row.
 
     Added columns come after the structural block, in row order. Equality
-    rows add nothing. A minimize objective is negated here (flag recorded)
-    so downstream code always maximizes.
+    rows add nothing; each nonzero one is multiplied, rhs included, by the
+    power of two that puts its largest |entry| in [1, 2). The product is
+    exact, and since an equality row owns no column no variable changes
+    units. A minimize objective is negated here (flag recorded) so
+    downstream code always maximizes.
     """
     n = model.n_vars
     relations = np.array(model.relations)
@@ -238,10 +241,16 @@ def to_equality_form(model: LPModel) -> StandardForm:
     a[:, :n] = model.a
     signs = np.where(relations[slack_rows] == Relation.LE, 1.0, -1.0)
     a[slack_rows, n + np.arange(slack_rows.size)] = signs
+    b = model.b.copy()
+    eq = np.flatnonzero(relations == Relation.EQ)
+    largest = np.abs(model.a[eq]).max(axis=1, initial=0.0)
+    shift = np.where(largest > 0.0, 1 - np.frexp(largest)[1], 0)
+    a[eq, :n] = np.ldexp(model.a[eq], shift[:, np.newaxis])
+    b[eq] = np.ldexp(b[eq], shift)
     c = np.zeros(a.shape[1])
     negated = model.sense is Sense.MIN
     c[:n] = -model.objective if negated else model.objective
-    return StandardForm(a, model.b.copy(), c, n, slack_rows, negated)
+    return StandardForm(a, b, c, n, slack_rows, negated)
 
 
 def independent_rows(form: StandardForm) -> StandardForm | None:
@@ -249,14 +258,14 @@ def independent_rows(form: StandardForm) -> StandardForm | None:
     none is dependent), or None when its equality rows are inconsistent.
 
     Only equality rows are tested (an inequality row owns its slack or surplus
-    column), each scaled to a largest entry of 1. A dropped row must hold within
-    FEASIBILITY_TOL * (1 + |b_row|) at the kept rows' least-squares solution.
+    column); to_equality_form has scaled each to a largest entry in [1, 2). A
+    dropped row must hold within FEASIBILITY_TOL * (1 + |b_row|) at the kept
+    rows' least-squares solution.
     """
     eq = np.setdiff1d(np.arange(form.n_rows), form.slack_rows)
     if eq.size == 0:
         return form
-    scale = np.abs(form.a[eq]).max(axis=1, keepdims=True)
-    a = form.a[eq] / np.where(scale > 0.0, scale, 1.0)
+    a = form.a[eq]
     s = np.linalg.svd(a, compute_uv=False)
     rank = int(np.count_nonzero(s > SINGULAR_RTOL * s[0]))
     if rank == eq.size:

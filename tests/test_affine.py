@@ -7,7 +7,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import lpduet.affine
 
-from conftest import lana_model, rng_for, random_bounded_lp
+from conftest import lana_model, rng_for, random_bounded_lp, scaled_rows_lp
 from lpduet import (
     DimensionMismatch,
     InfeasibleInterior,
@@ -17,6 +17,7 @@ from lpduet import (
     Sense,
     Status,
     UnboundedDirection,
+    brute_force_optimum,
     build_model,
     find_interior_point,
     projected_direction,
@@ -359,6 +360,18 @@ def test_solve_affine_agrees_with_simplex():
         assert sol.status is Status.OPTIMAL
         rel = abs(sol.objective - target.objective) / (1.0 + abs(target.objective))
         assert rel <= 1e-5
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e10, 1e12, 1e-12])
+def test_optimum_does_not_depend_on_the_scale_of_an_equality_row(scale):
+    # One drift budget covers every row, so an unscaled large row would let
+    # the others drift off A x = b.
+    for i in range(40):
+        form = to_equality_form(scaled_rows_lp(rng_for(i), scale))
+        oracle = brute_force_optimum(form)
+        sol, _ = solve_affine(form)
+        assert sol.status is Status.OPTIMAL, i
+        assert abs(sol.objective - oracle.objective) <= 1e-5 * (1.0 + abs(oracle.objective)), i
 
 
 def test_ipm_options_validation():
