@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleInterior, NotInterior, UnboundedDirection
+from .errors import DimensionMismatch, InfeasibleInterior, NonFiniteInput, NotInterior, UnboundedDirection
 from .linalg import as_matrix, as_vector, cholesky, gram, solve_spd
 from .model import Solution, StandardForm, Status, independent_rows, native_objective, solution_at
 
@@ -200,9 +200,17 @@ def solve_affine(
     the solution plus one trace row per iterate, the phase-1 point first:
     (iteration, objective, step_norm, min_x, residual), with the objective in
     the model's own sense and residual = ||b - A x|| / (1 + ||b||) over the
-    rows iterated on.
+    rows iterated on. Arithmetic that leaves the float range, as data near
+    1e154 and beyond can make it do, raises NonFiniteInput.
     """
-    opts = opts or IpmOptions()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _solve_affine(form, opts or IpmOptions())
+    except FloatingPointError as exc:
+        raise NonFiniteInput(f"arithmetic left the float range ({exc})") from None
+
+
+def _solve_affine(form: StandardForm, opts: IpmOptions) -> tuple[Solution, list[tuple]]:
     kept = independent_rows(form)
     if kept is None:
         raise InfeasibleInterior("the equality rows have no common solution")

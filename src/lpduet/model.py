@@ -231,8 +231,9 @@ def to_equality_form(model: LPModel) -> StandardForm:
     rows add nothing; each nonzero one is multiplied, rhs included, by the
     power of two that puts its largest |entry| in [1, 2). The product is
     exact, and since an equality row owns no column no variable changes
-    units. A minimize objective is negated here (flag recorded) so
-    downstream code always maximizes.
+    units; NonFiniteInput when a scaled rhs would overflow. A minimize
+    objective is negated here (flag recorded) so downstream code always
+    maximizes.
     """
     n = model.n_vars
     relations = np.array(model.relations)
@@ -245,6 +246,11 @@ def to_equality_form(model: LPModel) -> StandardForm:
     eq = np.flatnonzero(relations == Relation.EQ)
     largest = np.abs(model.a[eq]).max(axis=1, initial=0.0)
     shift = np.where(largest > 0.0, 1 - np.frexp(largest)[1], 0)
+    # |b| = f * 2^e with f < 1 stays finite times 2^shift while e + shift <= 1024
+    overflow = np.flatnonzero(np.frexp(b[eq])[1] + shift > 1024)
+    if overflow.size:
+        name = model.row_names[eq[overflow[0]]]
+        raise NonFiniteInput(f"constraint {name!r} overflows the float range when scaled")
     a[eq, :n] = np.ldexp(model.a[eq], shift[:, np.newaxis])
     b[eq] = np.ldexp(b[eq], shift)
     c = np.zeros(a.shape[1])
