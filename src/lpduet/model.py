@@ -237,26 +237,23 @@ def to_equality_form(model: LPModel) -> StandardForm:
     """
     n = model.n_vars
     relations = np.array(model.relations)
-    slack_rows = np.flatnonzero(relations != Relation.EQ)
+    eq = relations == Relation.EQ
+    largest = np.abs(model.a).max(axis=1)
+    shift = np.where(eq & (largest > 0.0), 1 - np.frexp(largest)[1], 0)
+    # |b| = f * 2^e with f < 1 stays finite times 2^shift while e + shift <= 1024
+    overflow = np.frexp(model.b)[1] + shift > 1024
+    if overflow.any():
+        name = model.row_names[int(np.argmax(overflow))]
+        raise NonFiniteInput(f"constraint {name!r} overflows the float range when scaled")
+    slack_rows = np.flatnonzero(~eq)
     a = np.zeros((model.n_constraints, n + slack_rows.size))
-    a[:, :n] = model.a
+    a[:, :n] = np.ldexp(model.a, shift[:, np.newaxis])
     signs = np.where(relations[slack_rows] == Relation.LE, 1.0, -1.0)
     a[slack_rows, n + np.arange(slack_rows.size)] = signs
-    b = model.b.copy()
-    eq = np.flatnonzero(relations == Relation.EQ)
-    largest = np.abs(model.a[eq]).max(axis=1, initial=0.0)
-    shift = np.where(largest > 0.0, 1 - np.frexp(largest)[1], 0)
-    # |b| = f * 2^e with f < 1 stays finite times 2^shift while e + shift <= 1024
-    overflow = np.flatnonzero(np.frexp(b[eq])[1] + shift > 1024)
-    if overflow.size:
-        name = model.row_names[eq[overflow[0]]]
-        raise NonFiniteInput(f"constraint {name!r} overflows the float range when scaled")
-    a[eq, :n] = np.ldexp(model.a[eq], shift[:, np.newaxis])
-    b[eq] = np.ldexp(b[eq], shift)
     c = np.zeros(a.shape[1])
     negated = model.sense is Sense.MIN
     c[:n] = -model.objective if negated else model.objective
-    return StandardForm(a, b, c, n, slack_rows, negated)
+    return StandardForm(a, np.ldexp(model.b, shift), c, n, slack_rows, negated)
 
 
 def independent_rows(form: StandardForm) -> StandardForm | None:
