@@ -116,8 +116,8 @@ def test_lower_bound_note_takes_the_first_bound_row():
 @pytest.mark.parametrize(
     "text, note, binding",
     [
-        # x = 0.001 sits on its bound, but row c (1000 x >= 1) keeps a slack
-        # above FEASIBILITY_TOL, so c does not bind
+        # x prints as 0.001, on its bound, but row c's surplus (1000 x - 1)
+        # stays above its tolerance, so c does not bind
         ("max: -x - y; c: 1000 x >= 1; d: y >= 0.001; cap: x + y <= 5;", ">= 0.001 (above)", "d"),
         # x ends 1.9e-5 below its bound while row c's surplus is within tolerance
         ("max: -x; c: 0.001 x >= 1; cap: x <= 5000;", ">= 1000 (binding)", "c"),

@@ -304,6 +304,8 @@ def test_degenerate_model_still_terminates():
 def test_optimum_does_not_depend_on_the_scale_of_an_equality_row(scale):
     # The M row must be exact once no artificial is basic: rounding residue
     # left in it hides improving columns or, at 1e6, runs to the pivot limit.
+    # At 1e-12 the row's entries lie below pivot_tol unless the equality
+    # form scales the row back to unit size.
     for i in range(40):
         m = scaled_rows_lp(rng_for(i), scale)
         oracle = brute_force_optimum(to_equality_form(m))
