@@ -34,13 +34,7 @@ from .model import (
     to_equality_form,
 )
 from .simplex import SimplexOptions, solve_simplex
-from .affine import (
-    IpmOptions,
-    find_interior_point,
-    projected_direction,
-    solve_affine,
-    step,
-)
+from .affine import IpmOptions, solve_affine
 from .lp_format import lana_lp_path, parse_lp_text, write_lp_text
 from .reporting import (
     IPM_TRACE_HEADER,
@@ -89,14 +83,11 @@ __all__ = [
     "build_model",
     "build_report",
     "constraint_residuals",
-    "find_interior_point",
     "lana_lp_path",
     "parse_lp_text",
-    "projected_direction",
     "run_cli",
     "solve_affine",
     "solve_simplex",
-    "step",
     "to_equality_form",
     "write_iteration_trace",
     "write_lp_text",

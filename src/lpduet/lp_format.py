@@ -169,8 +169,8 @@ def parse_lp_text(text: str) -> LPModel:
     return build_model(sense, tuple(column), matrix[0], constraints)
 
 
-def _fmt(value: float) -> str:
-    # repr of a float is its shortest exact decimal form; float(repr(v)) == v.
+def float_text(value) -> str:
+    """The shortest decimal that reads back as the same float: float(text) == value."""
     return repr(float(value))
 
 
@@ -181,11 +181,11 @@ def _expr(coeffs, names) -> str:
         # The sign bit, not coeff < 0: a flipped row can hold -0.0, and "+ -0.0" does not parse.
         negative = math.copysign(1.0, coeff) < 0
         if not parts:
-            parts.append(f"-{_fmt(-coeff)} {name}" if negative else f"{_fmt(coeff)} {name}")
+            parts.append(f"{'-' if negative else ''}{float_text(abs(coeff))} {name}")
         elif negative:
-            parts.append(f"- {_fmt(-coeff)} {name}")
+            parts.append(f"- {float_text(-coeff)} {name}")
         else:
-            parts.append(f"+ {_fmt(coeff)} {name}")
+            parts.append(f"+ {float_text(coeff)} {name}")
     return " ".join(parts)
 
 
@@ -194,7 +194,7 @@ def write_lp_text(model: LPModel) -> str:
     names = model.variable_names
     lines = [f"{model.sense.value}: {_expr(model.objective, names)};"]
     for name, coeffs, relation, rhs in zip(model.row_names, model.a, model.relations, model.b):
-        lines.append(f"{name}: {_expr(coeffs, names)} {relation.value} {_fmt(rhs)};")
+        lines.append(f"{name}: {_expr(coeffs, names)} {relation.value} {float_text(rhs)};")
     return "\n".join(lines) + "\n"
 
 

@@ -48,6 +48,11 @@ FEASIBILITY_TOL = 1e-6
 SINGULAR_RTOL = 1e-10
 
 
+def row_budget(b: np.ndarray) -> np.ndarray:
+    """How far each row with right-hand side b may miss: FEASIBILITY_TOL * (1 + |b|)."""
+    return FEASIBILITY_TOL * (1.0 + np.abs(b))
+
+
 @dataclass(frozen=True, eq=False)
 class LPModel:
     """A validated LP in canonical shape: row i reads a[i] . x  relations[i]  b[i].
@@ -180,8 +185,8 @@ def constraint_residuals(model: LPModel, x) -> ResidualReport:
 
     Residuals are oriented so nonnegative means satisfied: rhs - lhs for <=,
     lhs - rhs for >=, and |lhs - rhs| for equalities (which must stay within
-    tolerance). The per-row tolerance is FEASIBILITY_TOL * (1 + |rhs|); x
-    itself must be >= -FEASIBILITY_TOL entrywise.
+    tolerance). The per-row tolerance is row_budget(rhs); x itself must be
+    >= -FEASIBILITY_TOL entrywise.
     """
     x = as_vector(x)
     if x.shape[0] != model.n_vars:
@@ -193,7 +198,7 @@ def constraint_residuals(model: LPModel, x) -> ResidualReport:
     residuals = np.where(
         relations == Relation.LE, -gap, np.where(relations == Relation.GE, gap, np.abs(gap))
     )
-    row_tol = FEASIBILITY_TOL * (1.0 + model.b)
+    row_tol = row_budget(model.b)
     satisfied = np.where(relations == Relation.EQ, residuals <= row_tol, residuals >= -row_tol)
     return ResidualReport(residuals, bool(np.all(x >= -FEASIBILITY_TOL) and np.all(satisfied)))
 
@@ -262,8 +267,8 @@ def independent_rows(form: StandardForm) -> StandardForm | None:
 
     Only equality rows are tested (an inequality row owns its slack or surplus
     column); to_equality_form has scaled each to a largest entry in [1, 2). A
-    dropped row must hold within FEASIBILITY_TOL * (1 + |b_row|) at the kept
-    rows' least-squares solution.
+    dropped row must hold within row_budget(b_row) at the kept rows'
+    least-squares solution.
     """
     eq = np.setdiff1d(np.arange(form.n_rows), form.slack_rows)
     if eq.size == 0:
@@ -279,7 +284,7 @@ def independent_rows(form: StandardForm) -> StandardForm | None:
     kept, dropped = eq[piv[:rank]], eq[piv[rank:]]
     x = np.linalg.lstsq(form.a[kept], form.b[kept], rcond=None)[0]
     gap = np.abs(form.a[dropped] @ x - form.b[dropped])
-    if np.any(gap > FEASIBILITY_TOL * (1.0 + np.abs(form.b[dropped]))):
+    if np.any(gap > row_budget(form.b[dropped])):
         return None
     keep = np.sort(np.concatenate([form.slack_rows, kept]))
     slack_rows = np.searchsorted(keep, form.slack_rows)
@@ -338,7 +343,7 @@ def solution_at(
     ``x`` is the structural block of ``x_full`` and ``objective`` is c . x in
     the model's native sense, equal to model.objective @ x bit for bit.
     Equality rows always bind; an inequality row binds when its slack or
-    surplus is within FEASIBILITY_TOL * (1 + |b_row|) of zero.
+    surplus is within row_budget(b_row) of zero.
     """
     if x_full is None:
         return Solution(status, None, None, iterations, ())
@@ -347,5 +352,5 @@ def solution_at(
     objective = native_objective(float(form.c[:n] @ x), form.negated)
     rows = form.slack_rows
     binding = np.ones(form.n_rows, dtype=bool)
-    binding[rows] = np.abs(x_full[n:]) <= FEASIBILITY_TOL * (1.0 + np.abs(form.b[rows]))
+    binding[rows] = np.abs(x_full[n:]) <= row_budget(form.b[rows])
     return Solution(status, x, objective, iterations, tuple(np.flatnonzero(binding).tolist()))

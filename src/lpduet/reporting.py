@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .lp_format import float_text
 from .model import LPModel, Relation, Solution
 
 # CSV headers are part of the interface; tools downstream match them verbatim.
@@ -21,14 +22,10 @@ IPM_TRACE_HEADER = "iteration,objective,step_norm,min_x,residual"
 SIMPLEX_TRACE_HEADER = "iteration,objective,entering,leaving"
 
 
-def _float(value) -> str:
-    return repr(float(value))
-
-
 # Trace row length -> (header, one formatter per column).
 _TRACE_LAYOUTS = {
-    4: (SIMPLEX_TRACE_HEADER, (str, _float, str, str)),
-    5: (IPM_TRACE_HEADER, (str, _float, _float, _float, _float)),
+    4: (SIMPLEX_TRACE_HEADER, (str, float_text, str, str)),
+    5: (IPM_TRACE_HEADER, (str, float_text, float_text, float_text, float_text)),
 }
 
 
@@ -118,8 +115,8 @@ def write_iteration_trace(rows: list[tuple], path) -> None:
     """Write trace rows as CSV; the header is picked from the row length.
 
     Integer columns are written with ``str``, float columns with
-    ``repr(float(v))``. Raises ValueError on an empty trace or an unknown row
-    length; file-system problems surface as OSError.
+    ``float_text``, which reads back exactly. Raises ValueError on an empty
+    trace or an unknown row length; file-system problems surface as OSError.
     """
     if not rows:
         raise ValueError("refusing to write an empty trace")

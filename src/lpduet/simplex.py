@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ZeroPivot
-from .model import FEASIBILITY_TOL, BigMForm, LPModel, Solution, Status, solution_at, to_big_m_form
+from .model import BigMForm, LPModel, Solution, Status, row_budget, solution_at, to_big_m_form
 
 LARGEST_COEFFICIENT = "largest_coefficient"
 BLAND = "bland"
@@ -67,9 +67,6 @@ class Tableau:
 
     def __init__(self, full: np.ndarray, basis: tuple[int, ...]):
         self.basis = tuple(basis)
-        self._attach(full)
-
-    def _attach(self, full: np.ndarray) -> None:
         m = len(self.basis)
         n = full.shape[1] - 1
         self.full = full
@@ -77,10 +74,6 @@ class Tableau:
         self.rhs = full[:m, n]
         self.z_fin = full[m, :n]
         self.z_m = full[m + 1, :n] if full.shape[0] == m + 2 else None
-
-    def drop_m_row(self) -> None:
-        """Switch to phase 2: keep the first m + 1 rows of `full`, a view."""
-        self._attach(self.full[: len(self.basis) + 1])
 
     @property
     def obj_fin(self) -> float:
@@ -196,15 +189,6 @@ def pivot(t: Tableau, row: int, col: int, pivot_tol: float = SimplexOptions.pivo
     return t
 
 
-def _artificial_left(t: Tableau, form: BigMForm) -> bool:
-    """Whether a basic artificial exceeds FEASIBILITY_TOL * (1 + |b_i|), b_i
-    the right-hand side of the row it was added for."""
-    k = np.array(t.basis) - form.base.n_cols  # artificial k, or negative
-    basic = k >= 0
-    b = form.base.b[form.artificial_rows[k[basic]]]
-    return bool((t.rhs[basic] > FEASIBILITY_TOL * (1.0 + np.abs(b))).any())
-
-
 def solve_simplex(
     model: LPModel,
     opts: SimplexOptions | None = None,
@@ -259,7 +243,7 @@ def solve_simplex(
         if leaving_col >= n_base and max(t.basis) < n_base:
             # No artificial is basic any more: in exact arithmetic z_m and
             # obj_m are 0. Drop the M row, with its rounding residue.
-            t.drop_m_row()
+            t = Tableau(t.full[: m_rows + 1], t.basis)
         if on_pivot is not None:
             on_pivot(pivots, enter, leaving_col, t.obj_fin, t.obj_m)
         degenerate_run = degenerate_run + 1 if degenerate else 0
@@ -267,14 +251,15 @@ def solve_simplex(
             effective = replace(opts, anti_cycling=BLAND)
 
     base = form.base
-    if _artificial_left(t, form):
-        # No feasible basis was reached: an optimal or unbounded stop proves
-        # infeasibility, and at the limit the point means nothing.
+    x_full = np.zeros(n_base + form.artificial_rows.size)  # artificial k at n_base + k
+    x_full[list(t.basis)] = np.where(t.rhs > 0.0, t.rhs, 0.0)
+    if (x_full[n_base:] > row_budget(base.b[form.artificial_rows])).any():
+        # An artificial is left above its row's budget, so no feasible basis
+        # was reached: an optimal or unbounded stop proves infeasibility, and
+        # at the limit the point means nothing.
         if status is not Status.ITERATION_LIMIT:
             status = Status.INFEASIBLE
         return solution_at(base, status, pivots)
     if status is Status.UNBOUNDED:
         return solution_at(base, status, pivots)
-    x_full = np.zeros(n_base + form.artificial_rows.size)  # a level-0 artificial may stay basic
-    x_full[list(t.basis)] = np.where(t.rhs > 0.0, t.rhs, 0.0)
-    return solution_at(base, status, pivots, x_full[: base.n_cols])
+    return solution_at(base, status, pivots, x_full[:n_base])

@@ -19,13 +19,11 @@ from lpduet import (
     UnboundedDirection,
     brute_force_optimum,
     build_model,
-    find_interior_point,
-    projected_direction,
     solve_affine,
     solve_simplex,
-    step,
     to_equality_form,
 )
+from lpduet.affine import find_interior_point, projected_direction, step
 from lpduet.model import independent_rows
 
 

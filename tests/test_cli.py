@@ -432,7 +432,7 @@ def test_import_parse_and_a_simplex_run_leave_scipy_linalg_unloaded():
         "code": 0,
         "loaded": {"parse": False, "simplex": False, "oracle": False},
         "oracle": {"objective": 10.0, "same": True, "scipy.linalg": True},
-        "names": {"exported": 39, "missing": []},
+        "names": {"exported": 36, "missing": []},
     }
 
 

@@ -13,7 +13,6 @@ from lpduet import (
     Sense,
     build_model,
     build_report,
-    find_interior_point,
     parse_lp_text,
     solve_affine,
     solve_simplex,
@@ -22,6 +21,7 @@ from lpduet import (
     write_report_pair,
     write_solution_report,
 )
+from lpduet.affine import find_interior_point
 
 
 def toy_model():

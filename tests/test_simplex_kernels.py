@@ -387,7 +387,7 @@ def phase_2_lana_tableau():
         t = pivot(t, select_leaving(t, enter, opts), enter)
     phase_1 = t.full
     kept = phase_1[: t.rhs.shape[0] + 1].tobytes()
-    t.drop_m_row()
+    t = Tableau(phase_1[: t.rhs.shape[0] + 1], t.basis)
     assert t.full.shape == (form.base.n_rows + 1, n_base + 1)
     assert t.full.flags.c_contiguous and t.full.base is phase_1
     assert t.full.tobytes() == kept
