@@ -79,7 +79,7 @@ def write_solution_report(report: dict, format: str = "human", model: LPModel | 
     variables = report["variables"]
     if variables:
         notes = {} if model is None else _lower_bound_notes(model, set(report["binding_constraints"]))
-        width = max(len(v["name"]) for v in variables)
+        width = max(len("variable"), *(len(v["name"]) for v in variables))
         lines.append("")
         lines.append(f"{'variable':<{width + 2}}{'value':>16}  lower bound")
         for j, v in enumerate(variables):

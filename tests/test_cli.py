@@ -475,14 +475,20 @@ def test_dependent_rows_status_from_both_engines(tmp_path, capsys, text, code, s
 
 
 def test_an_engine_error_keeps_the_report_of_the_engine_that_finished(tmp_path, capsys):
-    # Rows independent only to about 1e-8 are kept, and the affine Cholesky
-    # fails on them; the simplex solves the model.
-    text = write_lp_text(near_duplicate_rows_lp(rng_for(6000), 1e-8))
-    code = run_cli(["solve", write(tmp_path, text)])
-    out, err = capsys.readouterr()
-    assert code == 1
-    assert "method:     simplex\nstatus:     optimal\n" in out
-    assert "method:     affine" not in out
-    assert err.startswith("error: affine: ")
-    assert err.count("error:") == 1
-    assert "Traceback" not in err
+    # The simplex solves each model, and the affine engine's Cholesky fails.
+    texts = [
+        # Rows independent only to about 1e-8 are kept.
+        write_lp_text(near_duplicate_rows_lp(rng_for(6000), 1e-8)),
+        # Orthogonal rows whose only feasible point, (1, 0), has a zero
+        # entry: phase 1 ends next to it, and the first phase-2 factor fails.
+        "max: x + y;\nc1: x + y = 1;\nc2: x - y = 1;\n",
+    ]
+    for text in texts:
+        code = run_cli(["solve", write(tmp_path, text)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "method:     simplex\nstatus:     optimal\n" in out
+        assert "method:     affine" not in out
+        assert err.startswith("error: affine: ")
+        assert err.count("error:") == 1
+        assert "Traceback" not in err

@@ -1,5 +1,10 @@
 """Dense kernel checks: validation, Gram products, Cholesky factors, SPD solves."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -68,6 +73,25 @@ def test_solve_spd_meets_residual_target():
 def test_solve_spd_identity_is_exact():
     b = np.array([3.0, -1.5, 0.25])
     npt.assert_array_equal(solve_spd(cholesky(np.eye(3)), b), b)
+
+
+# A factor that cholesky did not make: solve_spd must load LAPACK itself.
+SOLVE_FIRST = """
+import numpy as np
+from lpduet import linalg
+assert linalg._potrs is None
+s = np.array([[4.0, 2.0], [2.0, 3.0]])
+x = linalg.solve_spd(np.asfortranarray(np.linalg.cholesky(s)), np.array([2.0, 1.0]))
+assert np.allclose(s @ x, [2.0, 1.0], rtol=0.0, atol=1e-14), x
+"""
+
+
+def test_solve_spd_loads_lapack_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SOLVE_FIRST], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solve_spd_with_no_rows_is_empty():

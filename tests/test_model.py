@@ -118,6 +118,9 @@ def test_model_equality_is_structural():
         [((1.0, 1.0), Relation.LE, 4.0), ((1.0, 0.0), Relation.LE, 3.0)],
     )
     assert toy_model() != other
+    # A non-model is left to the other operand, so == falls back to identity.
+    assert toy_model().__eq__("toy") is NotImplemented
+    assert toy_model() != "toy"
 
 
 def test_lana_instance_census():

@@ -133,6 +133,21 @@ def test_lower_bound_label_follows_the_binding_line(text, note, binding):
     assert next(line for line in lines if line.startswith("x ")).endswith(note)
 
 
+@pytest.mark.parametrize("names", [("K1", "K2"), ("quantity_of_k1", "k2")])
+def test_values_end_under_the_value_header(names):
+    # Names shorter than "variable" must not pull the values left of their header.
+    m = build_model(Sense.MAX, names, (1.0, 2.0), [((1.0, 1.0), Relation.LE, 15025.944987)])
+    report = build_report("simplex", m, solve_simplex(m), 0.0)
+    lines = write_solution_report(report, format="human", model=m).splitlines()
+    header = next(line for line in lines if line.startswith("variable"))
+    end = header.index("value") + len("value")
+    rows = [line for line in lines if line.startswith(names)]
+    assert len(rows) == 2
+    for line in rows:
+        value = line.split()[1]
+        assert line.index(value) + len(value) == end
+
+
 def test_unknown_format_rejected():
     report, _ = toy_report()
     with pytest.raises(ValueError):
