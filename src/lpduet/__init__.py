@@ -2,8 +2,8 @@
 
 A Big-M tableau simplex and a primal affine-scaling interior point method
 over a shared model layer, cross-checked by a brute-force basic-solution
-oracle, with a small LP text format and a CLI. The oracle loads scipy.linalg,
-so it is imported on first lookup (PEP 562).
+oracle, with a small LP text format and a CLI. The oracle loads scipy.linalg
+and the CLI argparse, so each is imported on first lookup (PEP 562).
 """
 
 import importlib
@@ -11,15 +11,12 @@ import importlib
 from .errors import (
     DimensionMismatch,
     EmptyModel,
-    InfeasibleInterior,
     LpError,
     NonFiniteInput,
     NotInterior,
     NotPositiveDefinite,
     ParseError,
     TooLarge,
-    UnboundedDirection,
-    ZeroPivot,
 )
 from .model import (
     LPModel,
@@ -44,7 +41,6 @@ from .reporting import (
     write_report_pair,
     write_solution_report,
 )
-from .cli import run_cli
 
 __version__ = "0.1.0"
 
@@ -53,6 +49,8 @@ def __getattr__(name: str):
     if name in ("oracle", "brute_force_optimum"):
         oracle = importlib.import_module(".oracle", __name__)
         return oracle if name == "oracle" else oracle.brute_force_optimum
+    if name == "run_cli":
+        return importlib.import_module(".cli", __name__).run_cli
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -60,7 +58,6 @@ __all__ = [
     "DimensionMismatch",
     "EmptyModel",
     "IPM_TRACE_HEADER",
-    "InfeasibleInterior",
     "IpmOptions",
     "LPModel",
     "LpError",
@@ -77,8 +74,6 @@ __all__ = [
     "StandardForm",
     "Status",
     "TooLarge",
-    "UnboundedDirection",
-    "ZeroPivot",
     "brute_force_optimum",
     "build_model",
     "build_report",

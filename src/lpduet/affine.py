@@ -192,12 +192,13 @@ def solve_affine(
 ) -> tuple[Solution, list[tuple]]:
     """Run the affine-scaling iteration on an equality form.
 
-    Runs on model.independent_rows(form) (InfeasibleInterior when the equality
-    rows are inconsistent) from the phase-1 point of find_interior_point.
-    Stops at the first of: scaled step norm below tol, relative objective
-    change below tol, or scaled complementarity below tol (optimal); an
-    unblocked ascent ray (unbounded); or max_iter (iteration limit). Returns
-    the solution plus one trace row per iterate, the phase-1 point first:
+    Runs on model.independent_rows(form) from find_interior_point's point.
+    Infeasible, with no trace rows, when the equality rows are inconsistent
+    (0 iterations) or phase 1 finds no interior point (its iterations).
+    Otherwise stops at the first of: scaled step norm, relative objective
+    change or scaled complementarity below tol (optimal); an unblocked ascent
+    ray (unbounded); or max_iter (iteration limit). Returns the solution plus
+    one trace row per iterate, the phase-1 point first:
     (iteration, objective, step_norm, min_x, residual), with the objective in
     the model's own sense and residual = ||b - A x|| / (1 + ||b||) over the
     rows iterated on. Arithmetic that leaves the float range, as data near
@@ -213,9 +214,12 @@ def solve_affine(
 def _solve_affine(form: StandardForm, opts: IpmOptions) -> tuple[Solution, list[tuple]]:
     kept = independent_rows(form)
     if kept is None:
-        raise InfeasibleInterior("the equality rows have no common solution")
+        return solution_at(form, Status.INFEASIBLE, 0), []
+    try:
+        x = find_interior_point(kept, opts)
+    except InfeasibleInterior as exc:
+        return solution_at(form, Status.INFEASIBLE, exc.iterations), []
     a, b, c = kept.a, kept.b, kept.c
-    x = find_interior_point(kept, opts)
 
     b_scale = 1.0 + float(np.linalg.norm(b))
     budget = EQUALITY_RTOL * b_scale

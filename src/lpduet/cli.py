@@ -19,10 +19,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .affine import IpmOptions, solve_affine
-from .errors import InfeasibleInterior, LpError
+from .errors import LpError
 from .linalg import load_lapack
 from .lp_format import lana_lp_path, parse_lp_text
-from .model import LPModel, Sense, Solution, Status, native_objective, solution_at, to_equality_form
+from .model import LPModel, Sense, Solution, Status, native_objective, to_equality_form
 from .reporting import (
     build_report,
     write_report_pair,
@@ -109,12 +109,7 @@ def _run_simplex(model: LPModel, opts: SimplexOptions) -> tuple[Solution, list[t
 
 
 def _run_affine(model: LPModel, opts: IpmOptions) -> tuple[Solution, list[tuple]]:
-    form = to_equality_form(model)
-    try:
-        return solve_affine(form, opts)
-    except InfeasibleInterior as exc:
-        print(f"warning: {exc}; reporting infeasible", file=sys.stderr)
-        return solution_at(form, Status.INFEASIBLE, exc.iterations), []
+    return solve_affine(to_equality_form(model), opts)
 
 
 _ENGINES = {"simplex": _run_simplex, "affine": _run_affine}

@@ -32,11 +32,10 @@ class NotInterior(LpError):
 class InfeasibleInterior(LpError):
     """Phase-1 could not produce a strictly positive feasible point.
 
-    ``iterations`` counts the phase-1 directions computed before giving up;
-    it is 0 when phase 1 never ran.
+    ``iterations`` counts the phase-1 directions computed before giving up.
     """
 
-    def __init__(self, message: str, iterations: int = 0):
+    def __init__(self, message: str, iterations: int):
         super().__init__(message)
         self.iterations = iterations
 

@@ -1,4 +1,4 @@
-"""Dense kernels shared by both engines: input coercion, Gram matrices, SPD solves.
+"""Input coercion for the model layer and the affine engine; the affine Gram and SPD kernels.
 
 The SPD kernels are LAPACK's dpotrf/dpotrs called directly: a matrix is
 factored once by ``cholesky`` and each right-hand side is solved from that

@@ -10,13 +10,11 @@ import lpduet.affine
 from conftest import lana_model, rng_for, random_bounded_lp, scaled_rows_lp
 from lpduet import (
     DimensionMismatch,
-    InfeasibleInterior,
     IpmOptions,
     NotInterior,
     Relation,
     Sense,
     Status,
-    UnboundedDirection,
     brute_force_optimum,
     build_model,
     solve_affine,
@@ -24,6 +22,7 @@ from lpduet import (
     to_equality_form,
 )
 from lpduet.affine import find_interior_point, projected_direction, step
+from lpduet.errors import InfeasibleInterior, UnboundedDirection
 from lpduet.model import independent_rows
 
 

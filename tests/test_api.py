@@ -1,16 +1,22 @@
 """Names that tools outside the package rely on."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
+from conftest import rng_for, random_infeasible_lp
 from lpduet import (
+    Status,
     brute_force_optimum,
+    build_report,
     parse_lp_text,
     solve_affine,
     solve_simplex,
     to_equality_form,
+    write_lp_text,
+    write_report_pair,
 )
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -51,3 +57,22 @@ def test_benchmark_wrapped_attributes_are_called(monkeypatch):
     solve_affine(to_equality_form(model))
     brute_force_optimum(to_equality_form(model))
     assert [name for name, count in calls.items() if count == 0] == []
+
+
+def test_benchmark_call_sequence_reports_infeasible_models():
+    # bench/crosscheck.py's public calls, in its order: every engine answers
+    # an infeasible model with a status, and neither report stops on it.
+    for k in range(100):
+        lp = parse_lp_text(write_lp_text(random_infeasible_lp(rng_for(3000 + k))))
+        simplex = solve_simplex(lp)
+        form = to_equality_form(lp)
+        affine, rows = solve_affine(form)
+        oracle = brute_force_optimum(form)
+        assert (simplex.status, affine.status, oracle.status) == (Status.INFEASIBLE,) * 3, k
+        assert rows == [], k
+        reports = json.loads(
+            write_report_pair(
+                build_report("simplex", lp, simplex, 1.0), build_report("affine", lp, affine, 1.0), "json"
+            )
+        )
+        assert [r["status"] for r in reports] == ["infeasible", "infeasible"], k

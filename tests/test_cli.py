@@ -327,10 +327,10 @@ def test_lana_subcommand_json(capsys):
     assert reports[1]["objective"] == pytest.approx(765056.25, rel=1e-4)
 
 
-def test_python_m_lpduet_runs_the_cli():
+def check_python_m_solves_lana(module):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "lpduet", "solve", str(lana_lp_path()), "--method", "simplex", "--json"],
+        [sys.executable, "-m", module, "solve", str(lana_lp_path()), "--method", "simplex", "--json"],
         capture_output=True,
         text=True,
         env=env,
@@ -340,6 +340,15 @@ def test_python_m_lpduet_runs_the_cli():
     assert proc.stderr == ""
     assert proc.stdout.endswith("}\n")
     assert json.loads(proc.stdout)["objective"] == pytest.approx(765056.25, rel=1e-9)
+
+
+def test_python_m_lpduet_runs_the_cli():
+    check_python_m_solves_lana("lpduet")
+
+
+def test_python_m_lpduet_cli_runs_without_a_runpy_warning():
+    # runpy warns when the package import has already loaded lpduet.cli.
+    check_python_m_solves_lana("lpduet.cli")
 
 
 def without_wall_time(text):
@@ -398,10 +407,12 @@ def test_unwritable_trace_is_an_error_not_a_traceback(tmp_path, capsys, where, m
 LAZY_SCIPY = """
 import contextlib, io, json, sys
 import lpduet
-from lpduet import lana_lp_path, parse_lp_text, run_cli
+from lpduet import lana_lp_path, parse_lp_text
 loaded = {}
 parse_lp_text(lana_lp_path().read_text(encoding="utf-8"))
 loaded["parse"] = "scipy.linalg" in sys.modules
+loaded["cli"] = "lpduet.cli" in sys.modules
+from lpduet import run_cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = run_cli(["solve", str(lana_lp_path()), "--method", "simplex"])
 loaded["simplex"] = "scipy.linalg" in sys.modules
@@ -430,9 +441,9 @@ def test_import_parse_and_a_simplex_run_leave_scipy_linalg_unloaded():
     result = json.loads(proc.stdout)
     assert result == {
         "code": 0,
-        "loaded": {"parse": False, "simplex": False, "oracle": False},
+        "loaded": {"parse": False, "cli": False, "simplex": False, "oracle": False},
         "oracle": {"objective": 10.0, "same": True, "scipy.linalg": True},
-        "names": {"exported": 36, "missing": []},
+        "names": {"exported": 33, "missing": []},
     }
 
 

@@ -10,12 +10,12 @@ from lpduet import (
     Sense,
     SimplexOptions,
     Status,
-    ZeroPivot,
     brute_force_optimum,
     build_model,
     solve_simplex,
     to_equality_form,
 )
+from lpduet.errors import ZeroPivot
 from lpduet.model import to_big_m_form
 from lpduet.simplex import (
     BLAND,
