@@ -9,9 +9,12 @@ the nearest coordinate wall in scaled space:
 
 so the smallest scaled component lands exactly at 1 - alpha and the iterate
 stays strictly positive. The projector is never materialized; P v is computed
-as v - Ahat^T y with (Ahat Ahat^T) y = Ahat v. Each direction factors the
-normal matrix once (one LAPACK Cholesky, reading the upper triangle of the raw
-product Ahat Ahat^T) and solves it twice from that factor.
+as v - Ahat^T y with (Ahat Ahat^T) y = Ahat v. Each direction forms the raw
+product Ahat Ahat^T (``gram``), factors it once by LAPACK's dpotrf, reading
+only its upper triangle (``cholesky``), and solves twice from that factor by
+dpotrs (``solve_spd``). These three kernels take the engine's own float64
+arrays, unchecked. scipy.linalg is imported on the first factorization, so
+importing lpduet and parsing LP text do not load it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleInterior, NonFiniteInput, NotInterior, UnboundedDirection
-from .linalg import as_matrix, as_vector, cholesky, gram, solve_spd
-from .model import Solution, StandardForm, Status, independent_rows, native_objective, solution_at
+from .errors import (
+    DimensionMismatch, InfeasibleInterior, NonFiniteInput, NotInterior, NotPositiveDefinite, UnboundedDirection,
+)
+from .model import (
+    Solution, StandardForm, Status, as_matrix, as_vector, independent_rows, native_objective, solution_at,
+)
 
 # Iterate budget for ||A x - b||, relative to 1 + ||b||.
 EQUALITY_RTOL = 1e-7
@@ -32,6 +38,57 @@ PHASE1_ART_TOL = 1e-8
 # Phase 1 keeps its own iteration allowance: a caller running the main loop
 # on a tight budget must not see that reported as infeasibility.
 PHASE1_MIN_ITER = 500
+
+
+# scipy.linalg.lapack's dpotrf and dpotrs, bound by load_lapack on first use.
+_potrf = _potrs = None
+
+
+def load_lapack() -> None:
+    """Import scipy.linalg's LAPACK kernels now rather than on the first solve."""
+    global _potrf, _potrs
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    _potrf, _potrs = dpotrf, dpotrs
+
+
+def gram(a: np.ndarray) -> np.ndarray:
+    """The raw product A A^T, not mirrored: ``cholesky`` reads only its upper
+    triangle."""
+    return a @ a.T
+
+
+def cholesky(s: np.ndarray) -> np.ndarray:
+    """Cholesky factor of a symmetric positive definite S, for ``solve_spd``.
+
+    Only the upper triangle of S is read: LAPACK factors the lower triangle of
+    the transposed view S^T. A nonpositive pivot raises NotPositiveDefinite.
+    The factor is the lower triangle of the result, in Fortran order; the
+    strict upper triangle is left as it was and never read.
+    """
+    if s.shape[0] != s.shape[1]:
+        raise DimensionMismatch(f"matrix of shape {s.shape} is not square")
+    if _potrf is None:
+        load_lapack()
+    factor, info = _potrf(s.T, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
+    return factor
+
+
+def solve_spd(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve S x = b from S's ``cholesky`` factor; S is never inverted.
+
+    A system with no rows has the empty solution.
+    """
+    n = factor.shape[0]
+    if b.shape[0] != n:
+        raise DimensionMismatch(f"matrix is {n}x{n} but right-hand side has {b.shape[0]} entries")
+    if n == 0:
+        return np.zeros(0)  # LAPACK's wrapper rejects a 0 x 0 system
+    if _potrs is None:
+        load_lapack()
+    return _potrs(factor, b, lower=1)[0]
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .affine import IpmOptions, solve_affine
+from .affine import IpmOptions, load_lapack, solve_affine
 from .errors import LpError
-from .linalg import load_lapack
 from .lp_format import lana_lp_path, parse_lp_text
 from .model import LPModel, Sense, Solution, Status, native_objective, to_equality_form
 from .reporting import (

@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyModel, NonFiniteInput
-from .linalg import as_vector
 
 
 class Sense(Enum):
@@ -51,6 +50,26 @@ SINGULAR_RTOL = 1e-10
 def row_budget(b: np.ndarray) -> np.ndarray:
     """How far each row with right-hand side b may miss: FEASIBILITY_TOL * (1 + |b|)."""
     return FEASIBILITY_TOL * (1.0 + np.abs(b))
+
+
+def as_vector(x) -> np.ndarray:
+    """Coerce to a finite 1-D float array."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        raise DimensionMismatch(f"expected a vector, got array of shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteInput("vector contains NaN or infinity")
+    return v
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a finite 2-D float array."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got array of shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteInput("matrix contains NaN or infinity")
+    return m
 
 
 @dataclass(frozen=True, eq=False)

@@ -116,13 +116,14 @@ def write_iteration_trace(rows: list[tuple], path) -> None:
 
     Integer columns are written with ``str``, float columns with
     ``float_text``, which reads back exactly. Raises ValueError on an empty
-    trace or an unknown row length; file-system problems surface as OSError.
+    trace or an unknown or mixed row length; file-system problems surface as OSError.
     """
     if not rows:
         raise ValueError("refusing to write an empty trace")
-    if len(rows[0]) not in _TRACE_LAYOUTS:
-        raise ValueError(f"trace rows have {len(rows[0])} columns, expected 4 or 5")
-    header, formats = _TRACE_LAYOUTS[len(rows[0])]
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1 or widths[0] not in _TRACE_LAYOUTS:
+        raise ValueError(f"trace row lengths {widths} are not all 4 or all 5")
+    header, formats = _TRACE_LAYOUTS[widths[0]]
     lines = [header]
     for row in rows:
         lines.append(",".join(fmt(v) for fmt, v in zip(formats, row)))

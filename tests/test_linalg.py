@@ -1,4 +1,9 @@
-"""Dense kernel checks: validation, Gram products, Cholesky factors, SPD solves."""
+"""Dense kernel checks: validation, Gram products, Cholesky factors, SPD solves.
+
+The coercions ``as_vector`` and ``as_matrix`` live in ``lpduet.model``, the
+layer that checks outside input; ``gram``, ``cholesky`` and ``solve_spd`` live
+in ``lpduet.affine``, the only engine that calls them.
+"""
 
 import os
 import subprocess
@@ -12,7 +17,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from conftest import rng_for
 from lpduet import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
-from lpduet.linalg import as_matrix, as_vector, cholesky, gram, solve_spd
+from lpduet.affine import cholesky, gram, solve_spd
+from lpduet.model import as_matrix, as_vector
 
 
 def test_as_vector_accepts_lists_and_rejects_bad_shapes():
@@ -78,10 +84,10 @@ def test_solve_spd_identity_is_exact():
 # A factor that cholesky did not make: solve_spd must load LAPACK itself.
 SOLVE_FIRST = """
 import numpy as np
-from lpduet import linalg
-assert linalg._potrs is None
+from lpduet import affine
+assert affine._potrs is None
 s = np.array([[4.0, 2.0], [2.0, 3.0]])
-x = linalg.solve_spd(np.asfortranarray(np.linalg.cholesky(s)), np.array([2.0, 1.0]))
+x = affine.solve_spd(np.asfortranarray(np.linalg.cholesky(s)), np.array([2.0, 1.0]))
 assert np.allclose(s @ x, [2.0, 1.0], rtol=0.0, atol=1e-14), x
 """
 

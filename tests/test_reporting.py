@@ -223,3 +223,8 @@ def test_write_empty_trace_is_an_error(tmp_path):
         write_iteration_trace([], tmp_path / "trace.csv")
     with pytest.raises(ValueError):
         write_iteration_trace([(1, 6.0, 0)], tmp_path / "trace.csv")
+    # Every row is checked, not only the first: a shorter or longer row among
+    # simplex rows raises rather than being written short or cut off.
+    with pytest.raises(ValueError):
+        write_iteration_trace([(0, 1.0, 2, 3), (1, 2.0, 3), (2, 3.0, 4, 5, 6.0)], tmp_path / "trace.csv")
+    assert not (tmp_path / "trace.csv").exists()
