@@ -5,13 +5,22 @@ both engines on small instances and on the bundled LANA model (C(21,15) =
 54,264 bases). The budget is tested before the rank, which lies between the
 count of slack and surplus columns (unit vectors on distinct rows) and the row
 count. Dependent equality rows are dropped by model.independent_rows, and
-each kept row of A and b is divided by its largest |entry|. Subsets are
-gathered 64 at a time and each is factored in place by LAPACK's
-partial-pivoting LU; one is nonsingular, and solved, when its largest entry is
-nonzero and no LU pivot falls below SINGULAR_RTOL times that entry. Those two
-kernel calls are the only work done per basis: feasibility (every basic value
->= -FEASIBLE_TOL) is tested once per batch, and brute_force_optimum builds a
-point and an objective only for the feasible bases.
+each kept row of A and b is divided by its largest |entry|.
+
+A basis fixes its nonbasic columns at zero, so it is settled by the p
+constraints it makes tight, p being the number of structural variables: x_j =
+0 for each nonbasic structural j, the row of each nonbasic slack or surplus
+column, and every kept = row (Bertsimas & Tsitsiklis, Introduction to Linear
+Optimization, 1997, section 2.2). Each candidate is factored as that p x p
+system, not as its m x m submatrix: 6 x 6 in place of 15 x 15 on LANA.
+Candidates are gathered 64 at a time, in lexicographic order of their basis
+columns, and each system is factored in place by LAPACK's partial-pivoting
+LU; one is nonsingular, and solved, when its largest entry is nonzero and no
+LU pivot falls below SINGULAR_RTOL times that entry. A basic slack's value
+then follows from its own row. Those two kernel calls are the only work done
+per basis: feasibility (every basic value >= -FEASIBLE_TOL) is tested once
+per batch, and brute_force_optimum builds a point and an objective only for
+the feasible bases.
 
 The kernels are scipy's dgetrf and dgetrs, called through the module
 attributes lu_factor and lu_solve so that tools can count and time them.
@@ -32,7 +41,13 @@ from .model import SINGULAR_RTOL, Solution, StandardForm, Status, independent_ro
 
 MAX_BASES = 10**6
 FEASIBLE_TOL = 1e-9
-_BATCH = 64  # larger batches only raise the peak memory
+TIE_RTOL = 1e-12
+# Candidates per batch. The peak resident memory (VmHWM) of a process that
+# imports lpduet and cross-checks LANA is 58.5 MB at 64, as with the earlier
+# 15 x 15 factorization, and 58.8-59.0 MB at 128, 59.5-59.6 MB at 512 and
+# 60.5-60.8 MB at 1024 (three runs each), while larger batches save no
+# measurable time.
+_BATCH = 64
 
 
 def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -63,35 +78,62 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
     # does not take a row that is small next to the others for a zero row.
     row_scale = np.abs(kept.a).max(axis=1)
     row_scale[row_scale == 0.0] = 1.0
-    a = kept.a / row_scale[:, None]  # a new float64 array: dgetrf works in place on it
+    a = kept.a / row_scale[:, None]
     b = kept.b / row_scale
-    diagonal = np.arange(m)
+    p = kept.n_structural
+    slack = kept.slack_rows
+    slack_a, slack_b = a[slack, :p], b[slack]
+    slack_coef = a[slack, p + np.arange(slack.size)]
+    eq = np.setdiff1d(np.arange(m), slack)
+    # Row j < n of the table is the constraint that column j's being nonbasic
+    # makes tight: x_j = 0 for a structural column, its own row for a slack or
+    # surplus. The = rows follow; they are tight in every candidate.
+    tight = np.concatenate([np.eye(p), slack_a, a[eq, :p]])
+    tight_b = np.concatenate([np.zeros(p), slack_b, b[eq]])
+    tight_largest = np.abs(tight).max(axis=1)
+    diagonal = np.arange(p)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), m))
     for start in range(0, total, _BATCH):
         size = min(_BATCH, total - start)
         idx = np.fromiter(flat, dtype=np.intp, count=size * m).reshape(size, m)
-        # subs[k] is candidate k's submatrix in Fortran order (a transposed
-        # view of one gathered block), so LAPACK factors it in place.
-        subs = a.T[idx].transpose(0, 2, 1)
-        scale = np.abs(subs).max(axis=(1, 2))
+        is_tight = np.ones((size, len(tight)), dtype=bool)
+        is_tight[np.arange(size)[:, np.newaxis], idx] = False
+        # rows[k] lists candidate k's p tight constraints in table order.
+        rows = is_tight.nonzero()[1].reshape(size, p)
+        # subs[k] is candidate k's system in Fortran order (a transposed view
+        # of one C-ordered block), so LAPACK factors it in place and the LU
+        # diagonal is read from subs itself.
+        subs = np.ascontiguousarray(tight[rows].transpose(0, 2, 1)).transpose(0, 2, 1)
+        scale = tight_largest[rows].max(axis=1)
         pivots = [lu_factor(sub, overwrite_a=1)[1] for sub in subs]
         smallest = np.abs(subs[:, diagonal, diagonal]).min(axis=1)
         keep = np.flatnonzero((smallest >= SINGULAR_RTOL * scale) & (scale > 0.0))
-        xbs = [lu_solve(subs[k], pivots[k], b)[0] for k in keep.tolist()]
-        yield idx[keep], np.array(xbs).reshape(len(keep), m)
+        rhs = tight_b[rows]
+        xs = [lu_solve(subs[k], pivots[k], rhs[k])[0] for k in keep.tolist()]
+        structural = np.array(xs).reshape(len(keep), p)
+        # Each basic slack from its own row: an elementwise product summed per
+        # candidate, not a matrix product over the batch, whose rounding
+        # would depend on _BATCH.
+        slacks = (slack_b - (slack_a * structural[:, np.newaxis]).sum(axis=2)) / slack_coef
+        columns = idx[keep]
+        values = np.concatenate([structural, slacks], axis=1)
+        yield columns, values[np.arange(len(keep))[:, np.newaxis], columns]
 
 
 def brute_force_optimum(form: StandardForm) -> Solution:
     """Best feasible basic solution, or INFEASIBLE when none exists.
 
-    Strict improvement keeps the earlier basis on objective ties, so the
-    winner is the lexicographically smallest optimal basis. ``iterations``
-    counts the nonsingular bases actually examined. Raises TooLarge as
+    The winner is the lexicographically first feasible basis whose objective
+    lies within TIE_RTOL * (1 + |best|) of the best, so that rounding in the
+    last bits does not pick among bases that tie. ``iterations`` counts the
+    nonsingular bases actually examined. Raises TooLarge as
     _nonsingular_batches does.
     """
     n = form.a.shape[1]
-    best: np.ndarray | None = None
-    best_objective = 0.0
+    # Feasible points in basis order, each within the tie band of the best
+    # objective so far; the band's floor only rises as the best does.
+    contenders: list[tuple[float, np.ndarray]] = []
+    best = floor = -math.inf
     count = 0
     for idx, xbs in _nonsingular_batches(form):
         count += len(idx)
@@ -99,8 +141,12 @@ def brute_force_optimum(form: StandardForm) -> Solution:
             x = np.zeros(n)
             x[idx[k]] = xbs[k]
             objective = float(form.c @ x)
-            if best is None or objective > best_objective:
-                best, best_objective = x, objective
-    if best is None:
+            if objective > best:
+                best = objective
+                floor = best - TIE_RTOL * (1.0 + abs(best))
+                contenders = [c for c in contenders if c[0] >= floor]
+            if objective >= floor:
+                contenders.append((objective, x))
+    if not contenders:
         return solution_at(form, Status.INFEASIBLE, count)
-    return solution_at(form, Status.OPTIMAL, count, best)
+    return solution_at(form, Status.OPTIMAL, count, contenders[0][1])

@@ -72,20 +72,70 @@ def contradictory_rows_model():
     )
 
 
-def reference_basic_solutions(form):
-    """The oracle's kernel before batching: one subset at a time through
-    scipy.linalg.lu_factor/lu_solve, with the same row drop, row scaling and
-    pivot rule."""
-    n = form.n_cols
+def kept_rows_scaled(form):
+    """The oracle's row drop and row scaling: None when the = rows are
+    inconsistent, else the kept form and its A and b with each row divided by
+    its largest |entry|."""
     kept = independent_rows(form)
     if kept is None:
-        return
-    if kept.a.shape[0] == 0:
-        yield (), np.zeros(n), True, 0.0
-        return
+        return None
     row_scale = np.abs(kept.a).max(axis=1)
     row_scale[row_scale == 0.0] = 1.0
-    a, b = kept.a / row_scale[:, None], kept.b / row_scale
+    return kept, kept.a / row_scale[:, None], kept.b / row_scale
+
+
+def reference_basic_solutions(form):
+    """The oracle's kernel one subset at a time through
+    scipy.linalg.lu_factor/lu_solve, with the same row drop, row scaling and
+    pivot rule. A subset of columns is basic exactly when the p x p system of
+    the constraints it makes tight (p structural variables) is nonsingular:
+    x_j = 0 for each nonbasic structural j, then the row of each nonbasic slack
+    or surplus, then the kept = rows. A basic slack's value comes from its
+    row."""
+    n = form.n_cols
+    scaled = kept_rows_scaled(form)
+    if scaled is None:
+        return
+    kept, a, b = scaled
+    m, p = a.shape[0], kept.n_structural
+    if m == 0:
+        yield (), np.zeros(n), True, 0.0
+        return
+    slack = kept.slack_rows
+    eq = [i for i in range(m) if i not in slack]
+    coef = a[slack, p + np.arange(slack.size)]
+    unit = np.eye(p)
+    for cols in itertools.combinations(range(n), m):
+        tight = [j for j in range(n) if j not in cols]
+        sub = np.array([unit[j] if j < p else a[slack[j - p], :p] for j in tight] + [a[i, :p] for i in eq])
+        rhs = np.array([0.0 if j < p else b[slack[j - p]] for j in tight] + [b[i] for i in eq])
+        scale = float(np.abs(sub).max())
+        if scale == 0.0:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(sub, check_finite=False)
+        if float(np.abs(np.diag(lu)).min()) < lpduet.oracle.SINGULAR_RTOL * scale:
+            continue
+        structural = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+        slacks = (b[slack] - (a[slack, :p] * structural).sum(axis=1)) / coef
+        xb = np.concatenate([structural, slacks])[list(cols)]
+        x = np.zeros(n)
+        x[list(cols)] = xb
+        yield cols, x, bool(xb.min() >= -lpduet.oracle.FEASIBLE_TOL), float(form.c @ x)
+
+
+def square_basis_solutions(form):
+    """The oracle's earlier kernel, one subset at a time: each candidate basis
+    factored as the m x m submatrix of its columns."""
+    n = form.n_cols
+    scaled = kept_rows_scaled(form)
+    if scaled is None:
+        return
+    _, a, b = scaled
+    if a.shape[0] == 0:
+        yield (), np.zeros(n), True, 0.0
+        return
     for cols in itertools.combinations(range(n), a.shape[0]):
         sub = a[:, cols]
         scale = float(np.abs(sub).max())
@@ -119,6 +169,18 @@ def enumeration(solutions):
     ]
 
 
+EDGE_FORMS = {
+    # more structural variables than rows: each system is larger than m x m
+    "wide": "max: x + y + z + w;\nc: x + 2 y + 3 z + 4 w <= 10;\n",
+    # inequality rows with no structural part: their slacks must be basic
+    "zero rows": "max: x + y;\nc1: x + y <= 4;\nc2: 0 x + 0 y <= 3;\nc3: 0 x + 0 y >= -1;\n",
+    # e3 = e1 + e2: one of the three = rows is dropped before the systems are built
+    "dependent": "max: x + y;\ne1: x + y = 2;\ne2: x - y = 0;\ne3: 2 x = 2;\nc: x <= 5;\n",
+    "min": "min: x + 2 y;\nc1: x + y >= 2;\nc2: x - y <= 1;\n",
+    "rank 0": "min: x;\nc1: 0 x = 0;\n",
+}
+
+
 def reference_forms():
     yield "lana", to_equality_form(lana_model())
     yield "redundant", to_equality_form(redundant_rows_model())
@@ -128,6 +190,8 @@ def reference_forms():
     for i in range(10):
         yield f"infeasible{i}", to_equality_form(random_infeasible_lp(rng_for(1400 + i)))
         yield f"unbounded{i}", to_equality_form(random_unbounded_lp(rng_for(1500 + i)))
+    for name, text in EDGE_FORMS.items():
+        yield name, to_equality_form(parse_lp_text(text))
 
 
 def test_enumeration_matches_the_per_subset_reference():
@@ -144,14 +208,16 @@ def ties_form():
     return to_equality_form(m)
 
 
-def reference_optimum(form):
-    """brute_force_optimum over the per-subset reference: max keeps the first
-    feasible basis of largest objective."""
-    solutions = list(reference_basic_solutions(form))
+def reference_optimum(form, kernel=reference_basic_solutions):
+    """brute_force_optimum over a per-subset kernel: the first feasible basis
+    whose objective lies within the tie band of the largest."""
+    solutions = list(kernel(form))
     feasible = [(x, objective) for _, x, ok, objective in solutions if ok]
     if not feasible:
         return solution_at(form, Status.INFEASIBLE, len(solutions))
-    x, _ = max(feasible, key=lambda s: s[1])
+    best = max(objective for _, objective in feasible)
+    floor = best - lpduet.oracle.TIE_RTOL * (1.0 + abs(best))
+    x = next(x for x, objective in feasible if objective >= floor)
     return solution_at(form, Status.OPTIMAL, len(solutions), x)
 
 
@@ -163,6 +229,36 @@ def fingerprint(sol):
 def test_optimum_matches_the_best_per_subset_reference():
     for name, form in [*reference_forms(), ("ties", ties_form())]:
         assert fingerprint(brute_force_optimum(form)) == fingerprint(reference_optimum(form)), name
+
+
+def test_tight_systems_match_the_square_bases():
+    # the m x m kernel and the p x p one find the same bases and the same
+    # feasibility; the points agree to rounding
+    for name, form in [*reference_forms(), ("ties", ties_form())]:
+        got, want = list(basic_solutions(form)), list(square_basis_solutions(form))
+        assert [(cols, ok) for cols, _, ok, _ in got] == [(cols, ok) for cols, _, ok, _ in want], name
+        for (_, x, _, _), (_, y, _, _) in zip(got, want):
+            assert np.abs(x - y).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(y).max(initial=0.0)), name
+        sol, ref = brute_force_optimum(form), reference_optimum(form, square_basis_solutions)
+        assert (sol.status, sol.iterations, sol.binding) == (ref.status, ref.iterations, ref.binding), name
+        if ref.x is not None:
+            assert np.abs(sol.x - ref.x).max() <= 1e-10 * (1.0 + np.abs(ref.x).max()), name
+
+
+def test_lana_optimum_is_the_first_basis_in_the_tie_band():
+    # 18 optimal bases tie within the band; the largest rounded objective
+    # belongs to (0-9, 12, 13, 14, 16, 19), which strict improvement would keep
+    form = to_equality_form(lana_model())
+    feasible = [(cols, x, objective) for cols, x, ok, objective in basic_solutions(form) if ok]
+    best = max(objective for _, _, objective in feasible)
+    floor = best - lpduet.oracle.TIE_RTOL * (1.0 + abs(best))
+    tied = [(cols, x) for cols, x, objective in feasible if objective >= floor]
+    assert len(tied) == 18
+    cols, x = tied[0]
+    assert cols == (*range(10), 11, 12, 13, 14, 19)
+    sol = brute_force_optimum(form)
+    npt.assert_array_equal(sol.x, x[: form.n_structural])
+    assert sol.binding == (4, 9, 10, 11, 12, 14)
 
 
 def counting(monkeypatch):
