@@ -22,6 +22,7 @@ from conftest import (
 from lpduet import (
     Relation,
     Sense,
+    SimplexOptions,
     Status,
     TooLarge,
     brute_force_optimum,
@@ -72,43 +73,38 @@ def contradictory_rows_model():
     )
 
 
-def kept_rows_scaled(form):
-    """The oracle's row drop and row scaling: None when the = rows are
-    inconsistent, else the kept form and its A and b with each row divided by
-    its largest |entry|."""
-    kept = independent_rows(form)
-    if kept is None:
-        return None
-    row_scale = np.abs(kept.a).max(axis=1)
-    row_scale[row_scale == 0.0] = 1.0
-    return kept, kept.a / row_scale[:, None], kept.b / row_scale
-
-
 def reference_basic_solutions(form):
     """The oracle's kernel one subset at a time through
-    scipy.linalg.lu_factor/lu_solve, with the same row drop, row scaling and
-    pivot rule. A subset of columns is basic exactly when the p x p system of
-    the constraints it makes tight (p structural variables) is nonsingular:
-    x_j = 0 for each nonbasic structural j, then the row of each nonbasic slack
-    or surplus, then the kept = rows. A basic slack's value comes from its
-    row."""
+    scipy.linalg.lu_factor/lu_solve, with the same row drop and pivot rule. A
+    subset of columns is basic exactly when the p x p system of the
+    constraints it makes tight (p structural variables) is nonsingular: x_j =
+    0 for each nonbasic structural j, then the structural part of each
+    nonbasic slack or surplus column's row, then the kept = rows, each row
+    divided by its largest |entry|. A basic slack's value comes from its
+    unscaled row."""
     n = form.n_cols
-    scaled = kept_rows_scaled(form)
-    if scaled is None:
+    kept = independent_rows(form)
+    if kept is None:
         return
-    kept, a, b = scaled
-    m, p = a.shape[0], kept.n_structural
+    m, p = kept.a.shape[0], kept.n_structural
     if m == 0:
         yield (), np.zeros(n), True, 0.0
         return
     slack = kept.slack_rows
     eq = [i for i in range(m) if i not in slack]
-    coef = a[slack, p + np.arange(slack.size)]
-    unit = np.eye(p)
+    coef = kept.a[slack, p + np.arange(slack.size)]
+
+    def scaled(row, rhs):
+        largest = float(np.abs(row).max())
+        return (row / largest, rhs / largest) if largest > 0.0 else (row, rhs)
+
+    table = [scaled(row, 0.0) for row in np.eye(p)]
+    table += [scaled(kept.a[i, :p], kept.b[i]) for i in slack]
+    table += [scaled(kept.a[i, :p], kept.b[i]) for i in eq]
     for cols in itertools.combinations(range(n), m):
-        tight = [j for j in range(n) if j not in cols]
-        sub = np.array([unit[j] if j < p else a[slack[j - p], :p] for j in tight] + [a[i, :p] for i in eq])
-        rhs = np.array([0.0 if j < p else b[slack[j - p]] for j in tight] + [b[i] for i in eq])
+        tight = [j for j in range(n) if j not in cols] + list(range(n, len(table)))
+        sub = np.array([table[j][0] for j in tight])
+        rhs = np.array([table[j][1] for j in tight])
         scale = float(np.abs(sub).max())
         if scale == 0.0:
             continue
@@ -118,7 +114,7 @@ def reference_basic_solutions(form):
         if float(np.abs(np.diag(lu)).min()) < lpduet.oracle.SINGULAR_RTOL * scale:
             continue
         structural = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-        slacks = (b[slack] - (a[slack, :p] * structural).sum(axis=1)) / coef
+        slacks = (kept.b[slack] - (kept.a[slack, :p] * structural).sum(axis=1)) / coef
         xb = np.concatenate([structural, slacks])[list(cols)]
         x = np.zeros(n)
         x[list(cols)] = xb
@@ -126,13 +122,16 @@ def reference_basic_solutions(form):
 
 
 def square_basis_solutions(form):
-    """The oracle's earlier kernel, one subset at a time: each candidate basis
-    factored as the m x m submatrix of its columns."""
+    """The oracle's earlier kernel, one subset at a time: each row of the kept
+    A and b divided by its largest |entry|, slack coefficient included, and
+    each candidate basis factored as the m x m submatrix of its columns."""
     n = form.n_cols
-    scaled = kept_rows_scaled(form)
-    if scaled is None:
+    kept = independent_rows(form)
+    if kept is None:
         return
-    _, a, b = scaled
+    row_scale = np.abs(kept.a).max(axis=1)
+    row_scale[row_scale == 0.0] = 1.0
+    a, b = kept.a / row_scale[:, None], kept.b / row_scale
     if a.shape[0] == 0:
         yield (), np.zeros(n), True, 0.0
         return
@@ -178,6 +177,8 @@ EDGE_FORMS = {
     "dependent": "max: x + y;\ne1: x + y = 2;\ne2: x - y = 0;\ne3: 2 x = 2;\nc: x <= 5;\n",
     "min": "min: x + 2 y;\nc1: x + y >= 2;\nc2: x - y <= 1;\n",
     "rank 0": "min: x;\nc1: 0 x = 0;\n",
+    # a row far smaller than its slack coefficient is not a zero row
+    "tiny row": "max: x + y;\nc: 1e-11 x + 1e-11 y <= 1;\n",
 }
 
 
@@ -494,6 +495,28 @@ def test_optimum_does_not_depend_on_the_scale_of_an_equality_row(scale):
         assert plain.status is Status.OPTIMAL, i
         assert scaled.status is Status.OPTIMAL, i
         assert abs(scaled.objective - plain.objective) <= 1e-9 * (1.0 + abs(plain.objective)), i
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "max: x + y;\nc: 1e-11 x + 1e-11 y <= 1;\n",
+        # the 1 x 1 system of r1 settles {x, s2}; the 2 x 2 basis block
+        # [[1e-11, 0], [1, 1]] has a pivot of 1e-11 against an entry of 1
+        "max: x;\nr1: 1e-11 x <= 1;\nr2: x <= 2e11;\n",
+    ],
+    ids=["one-row", "two-rows"],
+)
+def test_rows_far_below_their_slack_coefficient_keep_their_vertices(text):
+    # the simplex's ratio test skips column entries within pivot_tol of zero,
+    # so it needs a tolerance below 1e-11 to see these rows at all
+    m = parse_lp_text(text)
+    target = solve_simplex(m, SimplexOptions(pivot_tol=1e-13))
+    sol = brute_force_optimum(to_equality_form(m))
+    assert target.status is Status.OPTIMAL
+    assert sol.status is Status.OPTIMAL
+    npt.assert_allclose(sol.objective, 1e11, rtol=1e-12)
+    npt.assert_allclose(sol.objective, target.objective, rtol=1e-12)
 
 
 def test_brute_force_minimization_sense():
