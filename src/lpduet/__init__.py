@@ -13,7 +13,6 @@ from .errors import (
     EmptyModel,
     LpError,
     NonFiniteInput,
-    NotInterior,
     NotPositiveDefinite,
     ParseError,
     TooLarge,
@@ -62,7 +61,6 @@ __all__ = [
     "LPModel",
     "LpError",
     "NonFiniteInput",
-    "NotInterior",
     "NotPositiveDefinite",
     "ParseError",
     "Relation",

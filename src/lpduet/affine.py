@@ -8,13 +8,17 @@ the nearest coordinate wall in scaled space:
     x_next = x * (1 + (alpha / |gamma|) * d),   gamma = min(d) < 0
 
 so the smallest scaled component lands exactly at 1 - alpha and the iterate
-stays strictly positive. The projector is never materialized; P v is computed
-as v - Ahat^T y with (Ahat Ahat^T) y = Ahat v. Each direction forms the raw
-product Ahat Ahat^T (``gram``), factors it once by LAPACK's dpotrf, reading
-only its upper triangle (``cholesky``), and solves twice from that factor by
-dpotrs (``solve_spd``). These three kernels take the engine's own float64
-arrays, unchecked. scipy.linalg is imported on the first factorization, so
-importing lpduet and parsing LP text do not load it.
+stays strictly positive. ``IpmOptions.alpha`` sets phase 2's step only. Phase
+1 (``find_interior_point``) steps PHASE1_STEP = 0.9 of the way and stops on
+the point where its artificial column reaches zero.
+
+The projector is never materialized; P v is computed as v - Ahat^T y with
+(Ahat Ahat^T) y = Ahat v. Each direction forms the raw product Ahat Ahat^T
+(``gram``), factors it once by LAPACK's dpotrf, reading only its upper
+triangle (``cholesky``), and solves twice from that factor by dpotrs
+(``solve_spd``). These three kernels take the engine's own float64 arrays,
+unchecked. scipy.linalg is imported on the first factorization, so importing
+lpduet and parsing LP text do not load it.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from .model import (
 EQUALITY_RTOL = 1e-7
 # Phase-1 succeeds once the artificial variable falls below this.
 PHASE1_ART_TOL = 1e-8
+# Each phase-1 step goes this fraction of the way to the nearest wall.
+PHASE1_STEP = 0.9
 # Phase 1 keeps its own iteration allowance: a caller running the main loop
 # on a tight budget must not see that reported as infeasibility.
 PHASE1_MIN_ITER = 500
@@ -193,10 +199,16 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
     Starts from a deterministic positive guess (each component 1.0 scaled up
     by mean|b| over its column norm when that helps), appends one artificial
     column carrying the residual b - A x_g at value 1, and runs the affine
-    iteration with a large negative weight on that column until it drops
-    below PHASE1_ART_TOL. Raises InfeasibleInterior, carrying the count of
-    phase-1 iterations, when the artificial cannot be driven out. The rows of
-    A have to be independent.
+    iteration with a large negative weight on that column, each step
+    PHASE1_STEP of the way to the nearest wall (opts.alpha is phase 2's step
+    only). It stops on the first direction along which the artificial reaches
+    zero while every other component keeps 1 - PHASE1_STEP of its value, and
+    lands there: the artificial at exactly 0 and A x = b up to rounding.
+    Otherwise it stops once the artificial drops below PHASE1_ART_TOL.
+    Raises InfeasibleInterior, carrying the count of phase-1 iterations, when
+    the artificial cannot be driven out, or when the endpoint, snapped back
+    if it drifted, is not strictly positive and within EQUALITY_RTOL of the
+    rows. The rows of A have to be independent.
     """
     opts = opts or IpmOptions()
     a = form.a
@@ -218,10 +230,17 @@ def find_interior_point(form: StandardForm, opts: IpmOptions | None = None) -> n
     iterations = 0
     while iterations < max(opts.max_iter, PHASE1_MIN_ITER) and x[-1] > PHASE1_ART_TOL:
         iterations += 1
-        direction = projected_direction(a_aug, c_aug, x)
+        d = projected_direction(a_aug, c_aug, x).d
+        # Along x * (1 + s d) the artificial reaches zero at s = 1 / -d[-1].
+        # When every other component still keeps 1 - PHASE1_STEP of its
+        # value there, land on that point: it is on the rows up to rounding.
+        if d[-1] < 0.0 and float(d[:-1].min(initial=0.0)) >= PHASE1_STEP * float(d[-1]):
+            x = x * (1.0 + d / -float(d[-1]))
+            x[-1] = 0.0
+            break
         zero_tol = opts.tol * (1.0 + float(np.linalg.norm(x * c_aug)))
         try:
-            x_new = step(x, direction.d, opts.alpha, zero_tol)
+            x_new = step(x, d, PHASE1_STEP, zero_tol)
         except UnboundedDirection:
             # The phase-1 objective is bounded above by zero, so this can
             # only be rounding noise on a stalled direction.

@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("simplex", "affine", "both"), default="both"
     )
     solve.add_argument("--alpha", type=_checked(IpmOptions, "alpha", float), default=IpmOptions.alpha,
-                       help="interior-point step fraction (0 < alpha < 1)")
+                       help="interior-point step fraction of phase 2 (0 < alpha < 1)")
     solve.add_argument("--tol", type=_checked(IpmOptions, "tol", float), default=IpmOptions.tol,
                        help="interior-point convergence tolerance (positive)")
     solve.add_argument("--max-iter", type=_checked(IpmOptions, "max_iter", int), default=None,

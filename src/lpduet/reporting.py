@@ -80,10 +80,12 @@ def write_solution_report(report: dict, format: str = "human", model: LPModel | 
     if variables:
         notes = {} if model is None else _lower_bound_notes(model, set(report["binding_constraints"]))
         width = max(len("variable"), *(len(v["name"]) for v in variables))
+        values = [f"{v['value']:.6f}" for v in variables]
+        value_width = max(16, *(len(text) for text in values))
         lines.append("")
-        lines.append(f"{'variable':<{width + 2}}{'value':>16}  lower bound")
-        for j, v in enumerate(variables):
-            lines.append(f"{v['name']:<{width + 2}}{v['value']:>16.6f}  {notes.get(j, '-')}")
+        lines.append(f"{'variable':<{width + 2}}{'value':>{value_width}}  lower bound")
+        for j, (v, text) in enumerate(zip(variables, values)):
+            lines.append(f"{v['name']:<{width + 2}}{text:>{value_width}}  {notes.get(j, '-')}")
     if report["binding_constraints"]:
         lines.append("")
         lines.append("binding: " + ", ".join(report["binding_constraints"]))

@@ -144,6 +144,16 @@ def scaled_rows_lp(rng: np.random.Generator, scale: float) -> LPModel:
     return build_model(Sense.MAX, names, rng.uniform(-3.0, 3.0, n), rows)
 
 
+def scaled_row_lp(rng: np.random.Generator, row: str, scale: float) -> LPModel:
+    """scaled_rows_lp(rng, 1.0) with its row ``row`` (``cap``, ``le`` or
+    ``ge``), coefficients and rhs, multiplied by scale; the other rows are
+    unchanged, so every scale of one rng seed has the same feasible set."""
+    model = scaled_rows_lp(rng, 1.0)
+    factors = np.where(np.array(model.row_names) == row, scale, 1.0)
+    rows = zip(model.row_names, model.a * factors[:, np.newaxis], model.relations, model.b * factors)
+    return build_model(model.sense, model.variable_names, model.objective, list(rows))
+
+
 def beale_lp() -> LPModel:
     """Beale's cycling example (Naval Res. Logist. Q. 2, 1955).
 

@@ -7,12 +7,11 @@ from scipy.linalg import cho_factor, cho_solve
 
 import lpduet.affine
 
-from conftest import lana_model, rng_for, random_bounded_lp, scaled_rows_lp
+from conftest import lana_model, rng_for, random_bounded_lp, scaled_row_lp, scaled_rows_lp
 from lpduet import (
     DimensionMismatch,
     IpmOptions,
     NonFiniteInput,
-    NotInterior,
     Relation,
     Sense,
     Status,
@@ -22,8 +21,10 @@ from lpduet import (
     solve_simplex,
     to_equality_form,
 )
-from lpduet.affine import find_interior_point, projected_direction, step
-from lpduet.errors import InfeasibleInterior, UnboundedDirection
+from lpduet.affine import (
+    EQUALITY_RTOL, PHASE1_ART_TOL, DirectionResult, find_interior_point, projected_direction, step,
+)
+from lpduet.errors import InfeasibleInterior, NotInterior, UnboundedDirection
 from lpduet.model import independent_rows
 
 
@@ -212,6 +213,15 @@ def one_row_form():
     return to_equality_form(m)
 
 
+def never_exiting(monkeypatch):
+    # Directions whose artificial component is 0: phase 1 cannot exit on one,
+    # so the step it takes is the (patched) step.
+    def zero(a, c, x):
+        return DirectionResult(d=np.zeros_like(x), dual_y=np.zeros(a.shape[0]))
+
+    monkeypatch.setattr(lpduet.affine, "projected_direction", zero)
+
+
 @pytest.mark.parametrize(
     "endpoint, expected",
     [
@@ -227,6 +237,7 @@ def test_phase1_endpoint_is_snapped_onto_the_rows_or_refused(monkeypatch, endpoi
     def landing(x, d, alpha, zero_tol=0.0):
         return np.array([*endpoint, 0.0])
 
+    never_exiting(monkeypatch)
     monkeypatch.setattr(lpduet.affine, "step", landing)
     form = one_row_form()
     if expected is None:
@@ -241,10 +252,42 @@ def test_phase1_stall_is_infeasible_interior(monkeypatch):
     def stalled(x, d, alpha, zero_tol=0.0):
         raise UnboundedDirection("projected direction has no blocking component")
 
+    never_exiting(monkeypatch)
     monkeypatch.setattr(lpduet.affine, "step", stalled)
     with pytest.raises(InfeasibleInterior, match="stalled") as info:
         find_interior_point(one_row_form())
     assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize(
+    "make, directions",
+    [(one_row_form, 1), (lambda: to_equality_form(lana_model()), 3)],
+    ids=["one-row", "lana"],
+)
+def test_phase1_exits_where_the_artificial_reaches_zero(monkeypatch, make, directions):
+    # Phase 1 ends on the direction along which the artificial reaches zero
+    # before any other component loses 90% of its value; it lands there, so
+    # the endpoint is on the rows up to rounding and needs no snap.
+    calls = []
+    direction, snap_back = lpduet.affine.projected_direction, lpduet.affine._snap_back
+
+    def counting(a, c, x):
+        calls.append(x[-1])
+        return direction(a, c, x)
+
+    def unsnapped(a, x, b, limit):
+        x_kept, resid = snap_back(a, x, b, limit)
+        assert x_kept is x
+        return x_kept, resid
+
+    monkeypatch.setattr(lpduet.affine, "projected_direction", counting)
+    monkeypatch.setattr(lpduet.affine, "_snap_back", unsnapped)
+    form = make()
+    x0 = find_interior_point(form)
+    assert len(calls) == directions
+    assert calls[-1] > PHASE1_ART_TOL
+    assert x0.min() > 0.0
+    assert np.linalg.norm(form.a @ x0 - form.b) <= EQUALITY_RTOL * (1.0 + np.linalg.norm(form.b))
 
 
 def test_solve_affine_toy():
@@ -373,6 +416,17 @@ def test_optimum_does_not_depend_on_the_scale_of_an_equality_row(scale):
         form = to_equality_form(scaled_rows_lp(rng_for(i), scale))
         oracle = brute_force_optimum(form)
         sol, _ = solve_affine(form)
+        assert sol.status is Status.OPTIMAL, i
+        assert abs(sol.objective - oracle.objective) <= 1e-5 * (1.0 + abs(oracle.objective)), i
+
+
+@pytest.mark.parametrize("row", ["le", "ge", "cap"])
+def test_optimum_does_not_depend_on_a_million_fold_inequality_row(row):
+    # Phase 1 lands on the rows exactly, so the drift a large row allows the
+    # others does not build up before phase 2 starts.
+    for i in range(40):
+        oracle = brute_force_optimum(to_equality_form(scaled_rows_lp(rng_for(i), 1.0)))
+        sol, _ = solve_affine(to_equality_form(scaled_row_lp(rng_for(i), row, 1e6)))
         assert sol.status is Status.OPTIMAL, i
         assert abs(sol.objective - oracle.objective) <= 1e-5 * (1.0 + abs(oracle.objective)), i
 

@@ -11,6 +11,7 @@ import pytest
 import lpduet.affine
 from conftest import near_duplicate_rows_lp, rng_for
 from lpduet import IPM_TRACE_HEADER, SIMPLEX_TRACE_HEADER, lana_lp_path, run_cli, write_lp_text
+from lpduet.errors import NotPositiveDefinite
 
 DATA = Path(__file__).resolve().parent / "data"
 TOY = "max: 3x + 2y;\ncap: x + y <= 4;\nwall: x <= 2;\n"
@@ -72,13 +73,13 @@ def test_unbounded_exit_code(tmp_path, capsys):
 
 
 def test_affine_reports_a_ray_whose_direction_holds_rounding_noise(tmp_path, capsys):
-    # At the 7th iterate the most negative direction component is -1.2e-14 of
-    # the largest; a step on it overflowed x and the affine engine errored.
+    # At the 9th iterate the most negative direction component is -2.3e-17 of
+    # the largest; a step on it would overflow x and make the engine error.
     text = "max: x + y;\nc1: x - y <= 1;\nc2: y >= 2;\n"
     assert run_cli(["solve", write(tmp_path, text), "--json"]) == 3
     simplex, affine = json.loads(capsys.readouterr().out)
     assert simplex["status"] == affine["status"] == "unbounded"
-    assert affine["iterations"] == 7
+    assert affine["iterations"] == 9
 
 
 def test_infeasible_exit_code(tmp_path, capsys):
@@ -443,7 +444,7 @@ def test_import_parse_and_a_simplex_run_leave_scipy_linalg_unloaded():
         "code": 0,
         "loaded": {"parse": False, "cli": False, "simplex": False, "oracle": False},
         "oracle": {"objective": 10.0, "same": True, "scipy.linalg": True},
-        "names": {"exported": 33, "missing": []},
+        "names": {"exported": 32, "missing": []},
     }
 
 
@@ -485,16 +486,20 @@ def test_dependent_rows_status_from_both_engines(tmp_path, capsys, text, code, s
     assert "Traceback" not in err
 
 
-def test_an_engine_error_keeps_the_report_of_the_engine_that_finished(tmp_path, capsys):
+def test_an_engine_error_keeps_the_report_of_the_engine_that_finished(monkeypatch, tmp_path, capsys):
     # The simplex solves each model, and the affine engine's Cholesky fails.
-    texts = [
+    def failing(s):
+        raise NotPositiveDefinite("1-th leading minor of the array is not positive definite")
+
+    cases = [
         # Rows independent only to about 1e-8 are kept.
-        write_lp_text(near_duplicate_rows_lp(rng_for(6000), 1e-8)),
-        # Orthogonal rows whose only feasible point, (1, 0), has a zero
-        # entry: phase 1 ends next to it, and the first phase-2 factor fails.
-        "max: x + y;\nc1: x + y = 1;\nc2: x - y = 1;\n",
+        (write_lp_text(near_duplicate_rows_lp(rng_for(6000), 1e-8)), None),
+        # A kernel that fails on a model both engines solve.
+        (TOY, failing),
     ]
-    for text in texts:
+    for text, cholesky in cases:
+        if cholesky is not None:
+            monkeypatch.setattr(lpduet.affine, "cholesky", cholesky)
         code = run_cli(["solve", write(tmp_path, text)])
         out, err = capsys.readouterr()
         assert code == 1
@@ -503,3 +508,14 @@ def test_an_engine_error_keeps_the_report_of_the_engine_that_finished(tmp_path, 
         assert err.startswith("error: affine: ")
         assert err.count("error:") == 1
         assert "Traceback" not in err
+
+
+def test_orthogonal_rows_whose_only_point_has_a_zero_entry_are_solved(tmp_path, capsys):
+    # The only feasible point is (1, 0). Phase 1 ends at (1, 7.8e-9), and the
+    # first phase-2 factorization there holds.
+    text = "max: x + y;\nc1: x + y = 1;\nc2: x - y = 1;\n"
+    assert run_cli(["solve", write(tmp_path, text), "--json"]) == 0
+    simplex, affine = json.loads(capsys.readouterr().out)
+    assert simplex["status"] == affine["status"] == "optimal"
+    assert simplex["objective"] == 1.0
+    assert affine["objective"] == pytest.approx(1.0, rel=1e-7)

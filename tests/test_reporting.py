@@ -148,6 +148,28 @@ def test_values_end_under_the_value_header(names):
         assert line.index(value) + len(value) == end
 
 
+@pytest.mark.parametrize(
+    "value, header",
+    [
+        (2.0, "variable             value  lower bound"),
+        (49999999627.470978, "variable               value  lower bound"),
+    ],
+)
+def test_value_column_is_as_wide_as_its_widest_value(value, header):
+    # 16 characters unless a value needs more; the lower-bound column then
+    # moves right with the header.
+    report, model = toy_report()
+    report["variables"][0]["value"] = value
+    lines = write_solution_report(report, format="human", model=model).splitlines()
+    assert header in lines
+    rows = [line for line in lines if line.startswith(("x ", "y "))]
+    assert len(rows) == 2
+    for line in rows:
+        value_text = line.split()[1]
+        assert line.index(value_text) + len(value_text) == header.index("value") + len("value")
+        assert line[header.index("lower bound"):].startswith(("-", ">="))
+
+
 def test_unknown_format_rejected():
     report, _ = toy_report()
     with pytest.raises(ValueError):
