@@ -14,14 +14,14 @@ Introduction to Linear Optimization, 1997, section 2.2). Each of those
 constraints is divided by its largest |entry|, so a row far smaller than its
 slack coefficient still counts, and each candidate is factored as its p x p
 system, not as its m x m submatrix: 6 x 6 in place of 15 x 15 on LANA.
-Candidates are gathered 64 at a time, in lexicographic order of their basis
-columns, and each system is factored in place by LAPACK's partial-pivoting
-LU; one is nonsingular, and solved, when its largest entry is nonzero and no
-LU pivot falls below SINGULAR_RTOL times that entry. A basic slack's value
-then follows from its own unscaled row. Those two kernel calls are the only
-work done per basis: feasibility (every basic value >= -FEASIBLE_TOL) is
-tested once per batch, and brute_force_optimum builds a point and an
-objective only for the feasible bases.
+Candidates are taken 64 at a time, in lexicographic order of their basis
+columns, as the n - m nonbasic columns that index their tight rows. Each
+system is factored in place by LAPACK's partial-pivoting LU; one is
+nonsingular, and solved in place, when its largest entry is nonzero and no LU
+pivot falls below SINGULAR_RTOL times that entry. A basic slack's value then
+follows from its own unscaled row. Those two kernel calls are the only work
+per basis: feasibility (every basic value >= -FEASIBLE_TOL) is tested once per
+batch, and brute_force_optimum builds a point only for the feasible bases.
 
 The kernels are scipy's dgetrf and dgetrs, called through the module
 attributes lu_factor and lu_solve so that tools can count and time them.
@@ -30,7 +30,6 @@ Importing this module loads scipy.linalg; the package imports it on first use.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator
 
@@ -43,19 +42,58 @@ from .model import SINGULAR_RTOL, Solution, StandardForm, Status, independent_ro
 MAX_BASES = 10**6
 FEASIBLE_TOL = 1e-9
 TIE_RTOL = 1e-12
-# Candidates per batch. The peak resident memory (VmHWM) of a process that
-# imports lpduet and cross-checks LANA is 58.3-58.4 MB at 64, against
-# 58.5 MB with the earlier 15 x 15 factorization, and 58.7-58.8 MB at 128,
-# 59.4 MB at 512 and 60.4-60.7 MB at 1024 (three runs each), while larger
-# batches save no measurable time.
+# Candidates per batch. A process that imports lpduet and cross-checks LANA
+# peaks (VmHWM) at 58.5-58.8 MB at 64, 58.3-58.6 MB before the nonbasic sets
+# were enumerated directly (ten benchmark runs each), and about 0.3 MB higher
+# at 128 and 0.6 MB at 256, where one brute_force_optimum(LANA) takes 97 and
+# 88 ms against 110 ms at 64 (fastest of 15 runs, 2-core machine).
 _BATCH = 64
+
+
+def _descending_subsets(n: int, k: int, batch: int) -> Iterator[np.ndarray]:
+    """Yield the k-subsets of range(n), one ascending row each, ``batch`` rows
+    at a time, in descending lexicographic order.
+
+    These are the complements, in order, of itertools.combinations(range(n),
+    n - k) (Knuth, TAOCP 4A, section 7.2.1.3). For c from n - k down to 0,
+    the block of those that begin with c is c followed by the first
+    C(n - c - 1, k - 1) of the (k - 1)-subsets of range(n - 1) in the same
+    order, each entry plus one. That one table serves every block; it is
+    built the same way, a level at a time from the 0-subsets of range(n - k),
+    with no recursion. Entries are uint8 when n < 256.
+    """
+    table = np.empty((1, 0), dtype=np.uint8)
+    for j in range(1, k + 1):
+        # table holds the (j - 1)-subsets of range(w - 1); this level makes
+        # the j-subsets of range(w), all in one batch below the last level.
+        w = n - k + j
+        total = math.comb(w, j)
+        size = batch if j == k else total
+        blocks = ((c, table[: math.comb(w - c - 1, j - 1)]) for c in range(w - j, -1, -1))
+        c, block = next(blocks)
+        for start in range(0, total, size):
+            out = np.empty((min(size, total - start), j), dtype=np.uint8 if w < 256 else np.intp)
+            filled = 0
+            while filled < len(out):
+                if not len(block):
+                    c, block = next(blocks)
+                take = min(len(out) - filled, len(block))
+                out[filled : filled + take, 0] = c
+                np.add(block[:take], 1, out=out[filled : filled + take, 1:])
+                block = block[take:]
+                filled += take
+            if j == k:
+                yield out
+        table = out
+    if k == 0:
+        yield table
 
 
 def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (columns, values) for the nonsingular bases, one batch at a time.
 
-    ``columns`` is a k x m array of basis column indices, in lexicographic
-    order, and ``values`` the k x m basic values. Raises TooLarge when no rank
+    ``columns`` is a K x m array of basis column indices, in lexicographic
+    order, and ``values`` the K x m basic values. Raises TooLarge when no rank
     the form can have keeps the subsets within MAX_BASES (an over-budget
     inconsistent system refuses too), or when the row rank of A, the basis
     size once redundant equality rows are dropped, does not. Otherwise an
@@ -93,33 +131,34 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
     tight /= row_scale[:, np.newaxis]
     tight_b /= row_scale
     tight_largest = np.abs(tight).max(axis=1)
+    flat_t = tight.T.ravel()  # tight[r, j] is flat_t[j * len(tight) + r]
+    starts = len(tight) * np.arange(p)[:, np.newaxis]
     diagonal = np.arange(p)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), m))
-    for start in range(0, total, _BATCH):
-        size = min(_BATCH, total - start)
-        idx = np.fromiter(flat, dtype=np.intp, count=size * m).reshape(size, m)
-        is_tight = np.ones((size, len(tight)), dtype=bool)
-        is_tight[np.arange(size)[:, np.newaxis], idx] = False
-        # rows[k] lists candidate k's p tight constraints in table order.
-        rows = is_tight.nonzero()[1].reshape(size, p)
-        # subs[k, i, j] is tight[rows[k, i], j], gathered through tight.T so
-        # that each subs[k] is Fortran-contiguous: LAPACK factors it in place
-        # and the LU diagonal is read from subs itself.
-        subs = tight.T[diagonal[:, np.newaxis], rows[:, np.newaxis, :]].transpose(0, 2, 1)
+    for nonbasic in _descending_subsets(n, n - m, _BATCH):
+        # rows[i]: candidate i's tight constraints, its nonbasic columns then the = rows.
+        rows = np.empty((len(nonbasic), p), dtype=np.intp)
+        rows[:, : n - m] = nonbasic
+        rows[:, n - m :] = np.arange(n, len(tight))
+        # subs[i, r, j] is tight[rows[i, r], j]. take returns a C-ordered
+        # [i, j, r] array, so each subs[i] is Fortran-contiguous: LAPACK
+        # factors it in place and the LU diagonal is read from subs itself.
+        subs = flat_t.take(rows[:, np.newaxis, :] + starts).transpose(0, 2, 1)
         scale = tight_largest[rows].max(axis=1)
-        pivots = [lu_factor(sub, overwrite_a=1)[1] for sub in subs]
+        # overwrite_a=1; trans=0, overwrite_b=1 by position: a keyword costs f2py 0.2 us.
+        pivots = [lu_factor(sub, 1)[1] for sub in subs]
         smallest = np.abs(subs[:, diagonal, diagonal]).min(axis=1)
         keep = np.flatnonzero((smallest >= SINGULAR_RTOL * scale) & (scale > 0.0))
-        rhs = tight_b[rows]
-        xs = [lu_solve(subs[k], pivots[k], rhs[k])[0] for k in keep.tolist()]
-        structural = np.array(xs).reshape(len(keep), p)
-        # Each basic slack from its own unscaled row: an elementwise product
-        # summed per candidate, not a matrix product over the batch, whose
-        # rounding would depend on _BATCH.
+        # Row j: candidate keep[j]'s right-hand side, then its solution.
+        structural = tight_b[rows[keep]]
+        for i, rhs in zip(keep.tolist(), structural):
+            lu_solve(subs[i], pivots[i], rhs, 0, 1)
+        # Each basic slack from its own unscaled row, summed per candidate: a
+        # matrix product over the batch would round differently by _BATCH.
         slacks = (slack_b - (slack_a * structural[:, np.newaxis]).sum(axis=2)) / slack_coef
-        columns = idx[keep]
+        basic = np.ones((len(keep), n), dtype=bool)
+        basic[np.arange(len(keep))[:, np.newaxis], nonbasic[keep]] = False
         values = np.concatenate([structural, slacks], axis=1)
-        yield columns, values[np.arange(len(keep))[:, np.newaxis], columns]
+        yield basic.nonzero()[1].reshape(len(keep), m), values[basic].reshape(len(keep), m)
 
 
 def brute_force_optimum(form: StandardForm) -> Solution:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -179,6 +180,8 @@ EDGE_FORMS = {
     "rank 0": "min: x;\nc1: 0 x = 0;\n",
     # a row far smaller than its slack coefficient is not a zero row
     "tiny row": "max: x + y;\nc: 1e-11 x + 1e-11 y <= 1;\n",
+    # every column is basic: no nonbasic set, only the = rows are tight
+    "all basic": "max: x + y;\ne1: x + y = 2;\ne2: x - y = 0;\n",
 }
 
 
@@ -291,7 +294,9 @@ def test_one_factor_per_candidate_and_one_solve_per_nonsingular_basis(
     assert sol.iterations == solves
 
 
-@pytest.mark.parametrize("batch", [5, 1000])  # 54,264 leaves 4 and 264 over
+# 54,264 leaves 4, 0 and 264 over; LANA's blocks of nonbasic sets end at 1,
+# 7, 28, ..., so batches of 7 straddle them and one of 10**6 holds them all
+@pytest.mark.parametrize("batch", [5, 7, 1000, 10**6])
 @pytest.mark.parametrize(
     "make, factors, solves",
     [(toy_form, 6, 5), (lambda: to_equality_form(lana_model()), 54_264, 20_466)],
@@ -307,6 +312,38 @@ def test_answers_do_not_depend_on_the_batch_size(monkeypatch, make, factors, sol
     assert calls == {"lu_factor": factors, "lu_solve": solves}
     assert fingerprint(brute_force_optimum(form)) == want_optimum
     assert calls == {"lu_factor": 2 * factors, "lu_solve": 2 * solves}
+
+
+@pytest.mark.parametrize("batch", [1, 7, 10**6])
+def test_nonbasic_sets_are_the_complements_of_the_bases_in_order(batch):
+    for n in range(10):
+        for m in range(n + 1):  # m = n leaves every column basic
+            batches = list(lpduet.oracle._descending_subsets(n, n - m, batch))
+            want = [[j for j in range(n) if j not in cols] for cols in itertools.combinations(range(n), m)]
+            assert np.concatenate(batches).tolist() == want, (n, m)
+            assert all(len(rows) == batch for rows in batches[:-1]), (n, m)
+            assert all(rows.dtype == np.uint8 for rows in batches), (n, m)
+
+
+@pytest.mark.parametrize("n, k", [(256, 2), (257, 2), (300, 299)])
+def test_nonbasic_sets_past_255_columns_are_not_wrapped(n, k):
+    got = np.concatenate(list(lpduet.oracle._descending_subsets(n, k, 1000)))
+    assert got.dtype == np.intp
+    npt.assert_array_equal(got, list(itertools.combinations(range(n), k))[::-1])
+
+
+def test_oracle_allocates_little_on_lana():
+    # the nonbasic-set table is uint8 (77.5 KB on LANA); as int64 it alone
+    # would take about 620 KB
+    form = to_equality_form(lana_model())
+    brute_force_optimum(form)
+    tracemalloc.start()
+    try:
+        brute_force_optimum(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_budget_is_tested_before_the_rank(monkeypatch):
