@@ -2,8 +2,9 @@
 
 A Big-M tableau simplex and a primal affine-scaling interior point method
 over a shared model layer, cross-checked by a brute-force basic-solution
-oracle, with a small LP text format and a CLI. The oracle loads scipy.linalg
-and the CLI argparse, so each is imported on first lookup (PEP 562).
+oracle, with a small LP text format and a CLI. The oracle loads scipy's
+LAPACK wrappers and the CLI argparse, so each is imported on first lookup
+(PEP 562).
 """
 
 import importlib

@@ -17,8 +17,8 @@ The projector is never materialized; P v is computed as v - Ahat^T y with
 (``gram``), factors it once by LAPACK's dpotrf, reading only its upper
 triangle (``cholesky``), and solves twice from that factor by dpotrs
 (``solve_spd``). These three kernels take the engine's own float64 arrays,
-unchecked. scipy.linalg is imported on the first factorization, so importing
-lpduet and parsing LP text do not load it.
+unchecked. The kernels come from model.lapack, loaded on the first
+factorization, so importing lpduet and parsing LP text load no scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     DimensionMismatch, InfeasibleInterior, NonFiniteInput, NotInterior, NotPositiveDefinite, UnboundedDirection,
 )
 from .model import (
-    Solution, StandardForm, Status, as_matrix, as_vector, independent_rows, native_objective, solution_at,
+    Solution, StandardForm, Status, as_matrix, as_vector, independent_rows, lapack, native_objective, solution_at,
 )
 
 # Iterate budget for ||A x - b||, relative to 1 + ||b||.
@@ -46,16 +46,15 @@ PHASE1_STEP = 0.9
 PHASE1_MIN_ITER = 500
 
 
-# scipy.linalg.lapack's dpotrf and dpotrs, bound by load_lapack on first use.
+# LAPACK's dpotrf and dpotrs from model.lapack, bound by load_lapack on first use.
 _potrf = _potrs = None
 
 
 def load_lapack() -> None:
-    """Import scipy.linalg's LAPACK kernels now rather than on the first solve."""
+    """Load the LAPACK kernels now rather than on the first solve."""
     global _potrf, _potrs
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    _potrf, _potrs = dpotrf, dpotrs
+    kernels = lapack()
+    _potrf, _potrs = kernels.dpotrf, kernels.dpotrs
 
 
 def gram(a: np.ndarray) -> np.ndarray:

@@ -140,7 +140,7 @@ def _cmd_solve(ns) -> int:
     methods = ("simplex", "affine") if ns.method == "both" else (ns.method,)
     opts = _options(ns)
     if "affine" in methods:
-        load_lapack()  # the affine wall time then leaves out importing scipy.linalg
+        load_lapack()  # the affine wall time then leaves out loading the LAPACK wrappers
     reports, traces, errors = [], {}, []
     for method in methods:
         start = time.perf_counter()

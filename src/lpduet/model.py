@@ -9,9 +9,14 @@ it and records a flag so reported objectives can be un-negated at the boundary.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from types import ModuleType
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +50,29 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 FEASIBILITY_TOL = 1e-6
 # Singular values and LU pivots below this times the largest count as zero.
 SINGULAR_RTOL = 1e-10
+
+
+@functools.cache
+def lapack() -> ModuleType:
+    """scipy's compiled LAPACK wrappers, the extension scipy.linalg._flapack
+    that scipy.linalg.lapack re-exports, loaded without importing the
+    scipy.linalg package, whose import took about half of a CLI run.
+
+    ``import scipy`` runs first, for scipy's own set-up (the DLL search path
+    on Windows wheels). The extension registers itself in sys.modules, so its
+    functions are the very objects scipy.linalg.lapack exports, whichever of
+    the two is loaded first. There is no fallback: ImportError when scipy
+    keeps no such extension.
+    """
+    import scipy
+
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled linalg._flapack in {finder.path}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def row_budget(b: np.ndarray) -> np.ndarray:
@@ -297,9 +325,14 @@ def independent_rows(form: StandardForm) -> StandardForm | None:
     rank = int(np.count_nonzero(s > SINGULAR_RTOL * s[0]))
     if rank == eq.size:
         return form
-    from scipy.linalg import qr
-
-    _, _, piv = qr(a.T, mode="economic", pivoting=True)
+    # A form built by hand is not validated elsewhere. An infinity makes the
+    # singular values above NaN (a NaN stops the SVD itself): refuse it here.
+    a = as_matrix(a)
+    # LAPACK's column-pivoted QR of A^T, called as scipy.linalg.qr calls it:
+    # a workspace query, then the factorization; the pivots are 1-based.
+    geqp3 = lapack().dgeqp3
+    work = geqp3(a.T, lwork=-1)[3]
+    piv = geqp3(a.T, lwork=int(work[0]))[1] - 1
     kept, dropped = eq[piv[:rank]], eq[piv[rank:]]
     x = np.linalg.lstsq(form.a[kept], form.b[kept], rcond=None)[0]
     gap = np.abs(form.a[dropped] @ x - form.b[dropped])

@@ -23,9 +23,9 @@ follows from its own unscaled row. Those two kernel calls are the only work
 per basis: feasibility (every basic value >= -FEASIBLE_TOL) is tested once per
 batch, and brute_force_optimum builds a point only for the feasible bases.
 
-The kernels are scipy's dgetrf and dgetrs, called through the module
-attributes lu_factor and lu_solve so that tools can count and time them.
-Importing this module loads scipy.linalg; the package imports it on first use.
+The kernels are scipy's dgetrf and dgetrs from model.lapack, called through
+the module attributes lu_factor and lu_solve so that tools can count and time
+them. Importing this module loads them; the package imports it on first use.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ import math
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf as lu_factor, dgetrs as lu_solve
 
 from .errors import TooLarge
-from .model import SINGULAR_RTOL, Solution, StandardForm, Status, independent_rows, solution_at
+from .model import SINGULAR_RTOL, Solution, StandardForm, Status, independent_rows, lapack, solution_at
+
+lu_factor, lu_solve = lapack().dgetrf, lapack().dgetrs
 
 MAX_BASES = 10**6
 FEASIBLE_TOL = 1e-9

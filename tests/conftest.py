@@ -101,6 +101,15 @@ def random_unbounded_lp(rng: np.random.Generator) -> LPModel:
     return build_model(Sense.MAX, names, rng.uniform(0.5, 3.0, n), rows)
 
 
+# Dependent equality rows: both engines solve on one copy of the row.
+DUPLICATE_ROWS = (
+    "max: 3x + 2y + z;\n"
+    "e1: 1000x + 1000y + 1000z = 4000000;\n"
+    "e2: 1000x + 1000y + 1000z = 4000000;\n"
+    "c: x <= 2000;\n"
+)
+
+
 def near_duplicate_rows_lp(rng: np.random.Generator, eps: float) -> LPModel:
     """A feasible bounded LP of 2-5 variables with a sum cap and two equality
     rows, e2 a copy of e1 with each coefficient perturbed by relative eps.

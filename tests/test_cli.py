@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lpduet.affine
-from conftest import near_duplicate_rows_lp, rng_for
+from conftest import DUPLICATE_ROWS, near_duplicate_rows_lp, rng_for
 from lpduet import IPM_TRACE_HEADER, SIMPLEX_TRACE_HEADER, lana_lp_path, run_cli, write_lp_text
 from lpduet.errors import NotPositiveDefinite
 
@@ -417,6 +417,7 @@ from lpduet import run_cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = run_cli(["solve", str(lana_lp_path()), "--method", "simplex"])
 loaded["simplex"] = "scipy.linalg" in sys.modules
+loaded["scipy"] = "scipy" in sys.modules
 loaded["oracle"] = "lpduet.oracle" in sys.modules
 from lpduet import brute_force_optimum, to_equality_form
 toy = to_equality_form(parse_lp_text("max: 3x + 2y;\\ncap: x + y <= 4;\\nwall: x <= 2;\\n"))
@@ -425,15 +426,25 @@ oracle = {
     "same": lpduet.oracle.brute_force_optimum is brute_force_optimum,
     "scipy.linalg": "scipy.linalg" in sys.modules,
 }
+with contextlib.redirect_stdout(io.StringIO()):
+    both = run_cli(["solve", str(lana_lp_path()), "--method", "both"])
+from lpduet.model import independent_rows
+copies = to_equality_form(parse_lp_text("max: x + y;\\ne1: x + y = 2;\\ne2: 2x + 2y = 4;\\n"))
+later = {
+    "both": both,
+    "rows kept": independent_rows(copies).n_rows,
+    "scipy.linalg": "scipy.linalg" in sys.modules,
+}
 missing = [name for name in lpduet.__all__ if not hasattr(lpduet, name)]
 names = {"exported": len(lpduet.__all__), "missing": missing}
-print(json.dumps({"code": code, "loaded": loaded, "oracle": oracle, "names": names}))
+print(json.dumps({"code": code, "loaded": loaded, "oracle": oracle, "later": later, "names": names}))
 """
 
 
 def test_import_parse_and_a_simplex_run_leave_scipy_linalg_unloaded():
-    # Then the oracle, asked for by name, loads itself and scipy.linalg, and
-    # every exported name resolves.
+    # Then the oracle, asked for by name, loads itself and scipy's LAPACK
+    # wrappers, and every exported name resolves. Neither the oracle, nor a
+    # run of both engines, nor a dropped dependent row imports scipy.linalg.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_SCIPY], capture_output=True, text=True, env=env, timeout=120
@@ -442,19 +453,11 @@ def test_import_parse_and_a_simplex_run_leave_scipy_linalg_unloaded():
     result = json.loads(proc.stdout)
     assert result == {
         "code": 0,
-        "loaded": {"parse": False, "cli": False, "simplex": False, "oracle": False},
-        "oracle": {"objective": 10.0, "same": True, "scipy.linalg": True},
+        "loaded": {"parse": False, "cli": False, "simplex": False, "scipy": False, "oracle": False},
+        "oracle": {"objective": 10.0, "same": True, "scipy.linalg": False},
+        "later": {"both": 0, "rows kept": 1, "scipy.linalg": False},
         "names": {"exported": 32, "missing": []},
     }
-
-
-# Dependent equality rows: both engines solve on one copy of the row.
-DUPLICATE_ROWS = (
-    "max: 3x + 2y + z;\n"
-    "e1: 1000x + 1000y + 1000z = 4000000;\n"
-    "e2: 1000x + 1000y + 1000z = 4000000;\n"
-    "c: x <= 2000;\n"
-)
 
 
 def test_duplicated_equality_row_is_solved_by_both_engines(tmp_path, capsys):

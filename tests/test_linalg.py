@@ -5,6 +5,7 @@ layer that checks outside input; ``gram``, ``cholesky`` and ``solve_spd`` live
 in ``lpduet.affine``, the only engine that calls them.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -98,6 +99,55 @@ def test_solve_spd_loads_lapack_on_first_use():
         [sys.executable, "-c", SOLVE_FIRST], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# lpduet loads scipy's LAPACK wrapper module itself, not through scipy.linalg.
+# In either import order the kernels must be scipy.linalg.lapack's own
+# function objects, and scipy.linalg must still work. (When lpduet loads
+# first, the scipy.linalg package has no _flapack attribute; only the public
+# API is held here.)
+IMPORT_ORDER = """
+import json, sys
+import numpy as np
+if sys.argv[1] == "scipy.linalg":
+    import scipy.linalg
+import lpduet.affine, lpduet.model, lpduet.oracle
+lpduet.affine.load_lapack()
+before = "scipy.linalg" in sys.modules
+import scipy.linalg
+from scipy.linalg import lapack
+same = {
+    "dgetrf": lapack.dgetrf is lpduet.oracle.lu_factor,
+    "dgetrs": lapack.dgetrs is lpduet.oracle.lu_solve,
+    "dpotrf": lapack.dpotrf is lpduet.affine._potrf,
+    "dpotrs": lapack.dpotrs is lpduet.affine._potrs,
+    "dgeqp3": lapack.dgeqp3 is lpduet.model.lapack().dgeqp3,
+}
+s = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+b = np.array([1.0, 2.0, 3.0])
+q, r, piv = scipy.linalg.qr(s, pivoting=True)
+works = {
+    "lu_factor": bool(np.allclose(s @ scipy.linalg.lu_solve(scipy.linalg.lu_factor(s), b), b)),
+    "qr": bool(np.allclose(q @ r, s[:, piv])),
+    "cho_factor": bool(np.allclose(s @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(s), b), b)),
+}
+print(json.dumps({"scipy.linalg before": before, "same": same, "works": works}))
+"""
+
+
+@pytest.mark.parametrize("first", ["lpduet", "scipy.linalg"])
+def test_lapack_kernels_are_scipys_own_in_either_import_order(first):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_ORDER, first], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    kernels = ("dgetrf", "dgetrs", "dpotrf", "dpotrs", "dgeqp3")
+    assert json.loads(proc.stdout) == {
+        "scipy.linalg before": first == "scipy.linalg",
+        "same": dict.fromkeys(kernels, True),
+        "works": dict.fromkeys(("lu_factor", "qr", "cho_factor"), True),
+    }
 
 
 def test_solve_spd_with_no_rows_is_empty():

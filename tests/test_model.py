@@ -3,8 +3,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
-from conftest import lana_model, rng_for, random_bounded_lp
+from conftest import DUPLICATE_ROWS, lana_model, near_duplicate_rows_lp, rng_for, random_bounded_lp
 from lpduet import (
     DimensionMismatch,
     EmptyModel,
@@ -15,11 +16,12 @@ from lpduet import (
     brute_force_optimum,
     build_model,
     constraint_residuals,
+    parse_lp_text,
     solve_affine,
     solve_simplex,
     to_equality_form,
 )
-from lpduet.model import independent_rows, solution_at, to_big_m_form
+from lpduet.model import StandardForm, independent_rows, solution_at, to_big_m_form
 from lpduet.simplex import init_tableau
 
 
@@ -193,6 +195,35 @@ def test_independent_rows_refuses_inconsistent_rows():
     assert independent_rows(form) is None
     zero = to_equality_form(build_model(Sense.MAX, ("x",), (1.0,), [((0.0,), Relation.EQ, 1.0)]))
     assert independent_rows(zero) is None
+
+
+NEAR_COPIES = [(k, eps) for eps in (0.0, 1e-15, 1e-9) for k in range(40)]
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(near_duplicate_rows_lp(rng_for(k), eps), id=f"near-copies-{k}-{eps:g}")
+      for k, eps in NEAR_COPIES),
+    pytest.param(parse_lp_text(DUPLICATE_ROWS), id="duplicate-rows"),
+])
+def test_independent_rows_keeps_the_rows_scipy_qr_pivots_first(model):
+    # The reference: scipy.linalg.qr's column pivots of the equality rows'
+    # transpose, the first rank of them kept with every inequality row.
+    form = to_equality_form(model)
+    kept = independent_rows(form)
+    eq = np.setdiff1d(np.arange(form.n_rows), form.slack_rows)
+    rank = kept.n_rows - form.slack_rows.size
+    piv = scipy.linalg.qr(form.a[eq].T, mode="economic", pivoting=True)[2]
+    rows = np.sort(np.concatenate([form.slack_rows, eq[piv[:rank]]]))
+    npt.assert_array_equal(kept.a, form.a[rows])
+    npt.assert_array_equal(kept.b, form.b[rows])
+
+
+def test_independent_rows_refuses_an_infinite_equality_row():
+    # A StandardForm built by hand skips build_model's finiteness checks.
+    a = np.array([[1.0, np.inf], [1.0, 1.0]])
+    form = StandardForm(a, np.array([1.0, 2.0]), np.ones(2), 2, np.array([], dtype=np.intp), False)
+    with pytest.raises(NonFiniteInput):
+        independent_rows(form)
 
 
 @pytest.mark.parametrize("rhs", [1e6, 1e8])
