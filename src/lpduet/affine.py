@@ -17,8 +17,9 @@ The projector is never materialized; P v is computed as v - Ahat^T y with
 (``gram``), factors it once by LAPACK's dpotrf, reading only its upper
 triangle (``cholesky``), and solves twice from that factor by dpotrs
 (``solve_spd``). These three kernels take the engine's own float64 arrays,
-unchecked. The kernels come from model.lapack, loaded on the first
-factorization, so importing lpduet and parsing LP text load no scipy.
+unchecked. dpotrf and dpotrs are looked up from model.lapack() at each call;
+its cache loads scipy's wrappers on the first factorization, so importing
+lpduet and parsing LP text load no scipy.
 """
 
 from __future__ import annotations
@@ -46,17 +47,6 @@ PHASE1_STEP = 0.9
 PHASE1_MIN_ITER = 500
 
 
-# LAPACK's dpotrf and dpotrs from model.lapack, bound by load_lapack on first use.
-_potrf = _potrs = None
-
-
-def load_lapack() -> None:
-    """Load the LAPACK kernels now rather than on the first solve."""
-    global _potrf, _potrs
-    kernels = lapack()
-    _potrf, _potrs = kernels.dpotrf, kernels.dpotrs
-
-
 def gram(a: np.ndarray) -> np.ndarray:
     """The raw product A A^T, not mirrored: ``cholesky`` reads only its upper
     triangle."""
@@ -73,9 +63,7 @@ def cholesky(s: np.ndarray) -> np.ndarray:
     """
     if s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"matrix of shape {s.shape} is not square")
-    if _potrf is None:
-        load_lapack()
-    factor, info = _potrf(s.T, lower=1, clean=0)
+    factor, info = lapack().dpotrf(s.T, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
     return factor
@@ -91,9 +79,7 @@ def solve_spd(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"matrix is {n}x{n} but right-hand side has {b.shape[0]} entries")
     if n == 0:
         return np.zeros(0)  # LAPACK's wrapper rejects a 0 x 0 system
-    if _potrs is None:
-        load_lapack()
-    return _potrs(factor, b, lower=1)[0]
+    return lapack().dpotrs(factor, b, lower=1)[0]
 
 
 @dataclass(frozen=True)

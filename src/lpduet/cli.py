@@ -18,10 +18,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .affine import IpmOptions, load_lapack, solve_affine
+from .affine import IpmOptions, solve_affine
 from .errors import LpError
 from .lp_format import lana_lp_path, parse_lp_text
-from .model import LPModel, Sense, Solution, Status, native_objective, to_equality_form
+from .model import LPModel, Sense, Solution, Status, lapack, native_objective, to_equality_form
 from .reporting import (
     build_report,
     write_report_pair,
@@ -140,7 +140,7 @@ def _cmd_solve(ns) -> int:
     methods = ("simplex", "affine") if ns.method == "both" else (ns.method,)
     opts = _options(ns)
     if "affine" in methods:
-        load_lapack()  # the affine wall time then leaves out loading the LAPACK wrappers
+        lapack()  # the affine wall time then leaves out loading the LAPACK wrappers
     reports, traces, errors = [], {}, []
     for method in methods:
         start = time.perf_counter()

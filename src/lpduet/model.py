@@ -315,9 +315,16 @@ def independent_rows(form: StandardForm) -> StandardForm | None:
     Only equality rows are tested (an inequality row owns its slack or surplus
     column); to_equality_form has scaled each to a largest entry in [1, 2). A
     dropped row must hold within row_budget(b_row) at the kept rows'
-    least-squares solution.
+    least-squares solution. NonFiniteInput when a, b or c holds NaN or
+    infinity, as a form built by hand can: the affine engine and the oracle
+    both start here, so neither computes with such a form.
     """
-    eq = np.setdiff1d(np.arange(form.n_rows), form.slack_rows)
+    as_matrix(form.a)
+    as_vector(form.b)
+    as_vector(form.c)
+    # np.delete, not np.setdiff1d, whose first call imports numpy.ma (about
+    # 16 ms under numpy 2) inside a timed solve.
+    eq = np.delete(np.arange(form.n_rows), form.slack_rows)
     if eq.size == 0:
         return form
     a = form.a[eq]
@@ -325,9 +332,6 @@ def independent_rows(form: StandardForm) -> StandardForm | None:
     rank = int(np.count_nonzero(s > SINGULAR_RTOL * s[0]))
     if rank == eq.size:
         return form
-    # A form built by hand is not validated elsewhere. An infinity makes the
-    # singular values above NaN (a NaN stops the SVD itself): refuse it here.
-    a = as_matrix(a)
     # LAPACK's column-pivoted QR of A^T, called as scipy.linalg.qr calls it:
     # a workspace query, then the factorization; the pivots are 1-based.
     geqp3 = lapack().dgeqp3

@@ -98,7 +98,8 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
     the form can have keeps the subsets within MAX_BASES (an over-budget
     inconsistent system refuses too), or when the row rank of A, the basis
     size once redundant equality rows are dropped, does not. Otherwise an
-    inconsistent system yields nothing.
+    inconsistent system yields nothing, and a consistent one of rank 0 the
+    empty basis alone: the origin.
     """
     n = form.a.shape[1]
     if all(math.comb(n, k) > MAX_BASES for k in range(len(form.slack_rows), form.n_rows + 1)):
@@ -107,10 +108,6 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
     if kept is None:
         return
     m = kept.a.shape[0]
-    if m == 0:
-        # A is (numerically) zero and b consistent: only the origin is basic.
-        yield np.empty((1, 0), dtype=np.intp), np.empty((1, 0))
-        return
     total = math.comb(n, m)
     if total > MAX_BASES:
         raise TooLarge(f"{total} candidate bases exceed the budget of {MAX_BASES}")
@@ -118,7 +115,9 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
     slack = kept.slack_rows
     slack_a, slack_b = kept.a[slack, :p], kept.b[slack]
     slack_coef = kept.a[slack, p + np.arange(slack.size)]
-    eq = np.setdiff1d(np.arange(m), slack)
+    # np.delete, not np.setdiff1d, whose first call imports numpy.ma (about
+    # 16 ms under numpy 2) inside a timed solve.
+    eq = np.delete(np.arange(m), slack)
     # Row j < n of the table is the constraint that column j's being nonbasic
     # makes tight: x_j = 0 for a structural column, its own row for a slack or
     # surplus. The = rows follow; they are tight in every candidate.

@@ -1,5 +1,6 @@
 """Exhaustive basis enumeration against the iterative engines."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from conftest import (
     scaled_rows_lp,
 )
 from lpduet import (
+    NonFiniteInput,
     Relation,
     Sense,
     SimplexOptions,
@@ -169,6 +171,9 @@ def enumeration(solutions):
     ]
 
 
+# Every row zero and consistent: no row is kept, and the only basic solution is the origin.
+RANK_ZERO = ["min: x;\nc1: 0 x = 0;\n", "min: x;\nc1: 0 x = 0;\nc2: 0 x = 0;\n"]
+
 EDGE_FORMS = {
     # more structural variables than rows: each system is larger than m x m
     "wide": "max: x + y + z + w;\nc: x + 2 y + 3 z + 4 w <= 10;\n",
@@ -177,7 +182,7 @@ EDGE_FORMS = {
     # e3 = e1 + e2: one of the three = rows is dropped before the systems are built
     "dependent": "max: x + y;\ne1: x + y = 2;\ne2: x - y = 0;\ne3: 2 x = 2;\nc: x <= 5;\n",
     "min": "min: x + 2 y;\nc1: x + y >= 2;\nc2: x - y <= 1;\n",
-    "rank 0": "min: x;\nc1: 0 x = 0;\n",
+    "rank 0": RANK_ZERO[0],
     # a row far smaller than its slack coefficient is not a zero row
     "tiny row": "max: x + y;\nc: 1e-11 x + 1e-11 y <= 1;\n",
     # every column is basic: no nonbasic set, only the = rows are tight
@@ -280,8 +285,13 @@ def counting(monkeypatch):
 
 @pytest.mark.parametrize(
     "make, factors, solves",
-    [(toy_form, 6, 5), (lambda: to_equality_form(lana_model()), 54_264, 20_466)],
-    ids=["toy", "lana"],
+    [
+        (toy_form, 6, 5),
+        (lambda: to_equality_form(lana_model()), 54_264, 20_466),
+        # the empty basis is one candidate: its system is x = 0
+        (lambda: to_equality_form(parse_lp_text(RANK_ZERO[0])), 1, 1),
+    ],
+    ids=["toy", "lana", "rank 0"],
 )
 def test_one_factor_per_candidate_and_one_solve_per_nonsingular_basis(
     monkeypatch, make, factors, solves
@@ -396,10 +406,15 @@ def test_budget_is_tested_again_at_the_rank():
 
 
 def test_rank_zero_system_has_only_the_origin():
-    sol = brute_force_optimum(to_equality_form(parse_lp_text("min: x;\nc1: 0 x = 0;\n")))
-    assert sol.status is Status.OPTIMAL
-    assert sol.objective == 0.0
-    npt.assert_array_equal(sol.x, [0.0])
+    for text in RANK_ZERO:
+        form = to_equality_form(parse_lp_text(text))
+        [(idx, xbs)] = lpduet.oracle._nonsingular_batches(form)
+        assert (idx.shape, idx.dtype, xbs.shape, xbs.dtype) == ((1, 0), np.intp, (1, 0), np.float64)
+        sol = brute_force_optimum(form)
+        # every row is an = row, and those always bind
+        assert (sol.status, sol.objective, sol.iterations) == (Status.OPTIMAL, 0.0, 1), text
+        assert sol.binding == tuple(range(form.n_rows)), text
+        npt.assert_array_equal(sol.x, [0.0])
 
 
 def test_enumerate_toy_bases():
@@ -497,6 +512,29 @@ def test_brute_force_detects_contradictory_equality_rows():
     assert solve_simplex(m).status is Status.INFEASIBLE
     affine, rows = solve_affine(form)
     assert (affine.status, affine.iterations, rows) == (Status.INFEASIBLE, 0, [])
+
+
+# (array, index, value) set in the equality form of "max: 3x + 2y; cap: x +
+# y <= 4; fix: x - y = 0;", whose row 0 is the <= row and row 1 the = row.
+NON_FINITE = {
+    "nan in a <= row": ("a", (0, 0), np.nan),
+    "inf in a <= row": ("a", (0, 1), np.inf),
+    "inf in b": ("b", 0, np.inf),
+    "nan in c": ("c", 1, np.nan),
+    "nan in an = row": ("a", (1, 0), np.nan),
+}
+
+
+@pytest.mark.parametrize("engine", [brute_force_optimum, solve_affine], ids=["oracle", "affine"])
+@pytest.mark.parametrize("entry", NON_FINITE)
+def test_a_hand_built_form_with_nan_or_infinity_is_refused(entry, engine):
+    # A StandardForm built by hand skips build_model's finiteness checks.
+    form = to_equality_form(parse_lp_text("max: 3x + 2y;\ncap: x + y <= 4;\nfix: x - y = 0;\n"))
+    field, index, value = NON_FINITE[entry]
+    array = getattr(form, field).copy()
+    array[index] = value
+    with pytest.raises(NonFiniteInput):
+        engine(dataclasses.replace(form, **{field: array}))
 
 
 @pytest.mark.parametrize("rhs", [1e6, 1e8])
