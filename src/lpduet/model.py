@@ -275,6 +275,12 @@ class StandardForm:
     def n_cols(self) -> int:
         return self.a.shape[1]
 
+    @property
+    def equality_rows(self) -> np.ndarray:
+        """The = rows, ascending. By np.delete: np.setdiff1d's first call
+        imports numpy.ma (about 16 ms under numpy 2) inside a timed solve."""
+        return np.delete(np.arange(self.n_rows), self.slack_rows)
+
 
 def to_equality_form(model: LPModel) -> StandardForm:
     """Append one slack (<=) or surplus (>=) column per inequality row.
@@ -322,9 +328,7 @@ def independent_rows(form: StandardForm) -> StandardForm | None:
     as_matrix(form.a)
     as_vector(form.b)
     as_vector(form.c)
-    # np.delete, not np.setdiff1d, whose first call imports numpy.ma (about
-    # 16 ms under numpy 2) inside a timed solve.
-    eq = np.delete(np.arange(form.n_rows), form.slack_rows)
+    eq = form.equality_rows
     if eq.size == 0:
         return form
     a = form.a[eq]

@@ -16,12 +16,13 @@ slack coefficient still counts, and each candidate is factored as its p x p
 system, not as its m x m submatrix: 6 x 6 in place of 15 x 15 on LANA.
 Candidates are taken 64 at a time, in lexicographic order of their basis
 columns, as the n - m nonbasic columns that index their tight rows. Each
-system is factored in place by LAPACK's partial-pivoting LU; one is
-nonsingular, and solved in place, when its largest entry is nonzero and no LU
-pivot falls below SINGULAR_RTOL times that entry. A basic slack's value then
-follows from its own unscaled row. Those two kernel calls are the only work
-per basis: feasibility (every basic value >= -FEASIBLE_TOL) is tested once per
-batch, and brute_force_optimum builds a point only for the feasible bases.
+system is factored in place by LAPACK's partial-pivoting LU; the division
+leaves each nonzero row a largest |entry| of exactly 1, so one is nonsingular,
+and solved in place, when no LU pivot falls below SINGULAR_RTOL. A basic
+slack's value then follows from its own unscaled row, and the point's
+nonbasic entries are set to 0. Those two kernel calls are the only work per
+basis: feasibility is tested once per batch, and brute_force_optimum prices
+only the feasible points.
 
 The kernels are scipy's dgetrf and dgetrs from model.lapack, called through
 the module attributes lu_factor and lu_solve so that tools can count and time
@@ -43,11 +44,11 @@ lu_factor, lu_solve = lapack().dgetrf, lapack().dgetrs
 MAX_BASES = 10**6
 FEASIBLE_TOL = 1e-9
 TIE_RTOL = 1e-12
-# Candidates per batch. A process that imports lpduet and cross-checks LANA
-# peaks (VmHWM) at 58.5-58.8 MB at 64, 58.3-58.6 MB before the nonbasic sets
-# were enumerated directly (ten benchmark runs each), and about 0.3 MB higher
-# at 128 and 0.6 MB at 256, where one brute_force_optimum(LANA) takes 97 and
-# 88 ms against 110 ms at 64 (fastest of 15 runs, 2-core machine).
+# Candidates per batch. A process that imports lpduet and runs
+# brute_force_optimum(LANA) 15 times peaks (VmHWM) at 33.5-33.7 MB at 64, and
+# about 0.3 MB higher at 128 and 0.6 MB at 256, where its fastest run takes
+# 113-133 and 107 ms against 122-135 ms at 64 (three processes each, 2-core
+# machine, numpy 2.4, scipy 1.17).
 _BATCH = 64
 
 
@@ -91,13 +92,14 @@ def _descending_subsets(n: int, k: int, batch: int) -> Iterator[np.ndarray]:
 
 
 def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (columns, values) for the nonsingular bases, one batch at a time.
+    """Yield (nonbasic, points) for the nonsingular bases, one batch at a time.
 
-    ``columns`` is a K x m array of basis column indices, in lexicographic
-    order, and ``values`` the K x m basic values. Raises TooLarge when no rank
-    the form can have keeps the subsets within MAX_BASES (an over-budget
-    inconsistent system refuses too), or when the row rank of A, the basis
-    size once redundant equality rows are dropped, does not. Otherwise an
+    ``nonbasic`` is a K x (n - m) array of each basis's nonbasic columns, the
+    bases in lexicographic order, and ``points`` the K x n basic solutions,
+    each nonbasic entry exactly 0. Raises TooLarge when no rank the form can
+    have keeps the subsets within MAX_BASES (an over-budget inconsistent
+    system refuses too), or when the row rank of A, the basis size once
+    redundant equality rows are dropped, does not. Otherwise an
     inconsistent system yields nothing, and a consistent one of rank 0 the
     empty basis alone: the origin.
     """
@@ -112,25 +114,22 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
     if total > MAX_BASES:
         raise TooLarge(f"{total} candidate bases exceed the budget of {MAX_BASES}")
     p = kept.n_structural
-    slack = kept.slack_rows
+    slack, eq = kept.slack_rows, kept.equality_rows
     slack_a, slack_b = kept.a[slack, :p], kept.b[slack]
     slack_coef = kept.a[slack, p + np.arange(slack.size)]
-    # np.delete, not np.setdiff1d, whose first call imports numpy.ma (about
-    # 16 ms under numpy 2) inside a timed solve.
-    eq = np.delete(np.arange(m), slack)
     # Row j < n of the table is the constraint that column j's being nonbasic
     # makes tight: x_j = 0 for a structural column, its own row for a slack or
     # surplus. The = rows follow; they are tight in every candidate.
     tight = np.concatenate([np.eye(p), slack_a, kept.a[eq, :p]])
     tight_b = np.concatenate([np.zeros(p), slack_b, kept.b[eq]])
-    # Each row scaled to a largest entry of 1, so that the pivot test below
-    # does not take a row that is small next to the others for a zero row.
-    # A slack row is scaled by its structural part, the part in the table.
+    # Each row scaled to a largest |entry| of exactly 1 (a / a is 1 in IEEE
+    # arithmetic), so that the pivot test below does not take a row that is
+    # small next to the others for a zero row. A slack row is scaled by its
+    # structural part, the part in the table; a zero row stays zero.
     row_scale = np.abs(tight).max(axis=1)
     row_scale[row_scale == 0.0] = 1.0
     tight /= row_scale[:, np.newaxis]
     tight_b /= row_scale
-    tight_largest = np.abs(tight).max(axis=1)
     flat_t = tight.T.ravel()  # tight[r, j] is flat_t[j * len(tight) + r]
     starts = len(tight) * np.arange(p)[:, np.newaxis]
     diagonal = np.arange(p)
@@ -143,11 +142,10 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
         # [i, j, r] array, so each subs[i] is Fortran-contiguous: LAPACK
         # factors it in place and the LU diagonal is read from subs itself.
         subs = flat_t.take(rows[:, np.newaxis, :] + starts).transpose(0, 2, 1)
-        scale = tight_largest[rows].max(axis=1)
         # overwrite_a=1; trans=0, overwrite_b=1 by position: a keyword costs f2py 0.2 us.
         pivots = [lu_factor(sub, 1)[1] for sub in subs]
         smallest = np.abs(subs[:, diagonal, diagonal]).min(axis=1)
-        keep = np.flatnonzero((smallest >= SINGULAR_RTOL * scale) & (scale > 0.0))
+        keep = np.flatnonzero(smallest >= SINGULAR_RTOL)
         # Row j: candidate keep[j]'s right-hand side, then its solution.
         structural = tight_b[rows[keep]]
         for i, rhs in zip(keep.tolist(), structural):
@@ -155,10 +153,9 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
         # Each basic slack from its own unscaled row, summed per candidate: a
         # matrix product over the batch would round differently by _BATCH.
         slacks = (slack_b - (slack_a * structural[:, np.newaxis]).sum(axis=2)) / slack_coef
-        basic = np.ones((len(keep), n), dtype=bool)
-        basic[np.arange(len(keep))[:, np.newaxis], nonbasic[keep]] = False
-        values = np.concatenate([structural, slacks], axis=1)
-        yield basic.nonzero()[1].reshape(len(keep), m), values[basic].reshape(len(keep), m)
+        points = np.concatenate([structural, slacks], axis=1)
+        np.put_along_axis(points, nonbasic[keep], 0.0, axis=1)
+        yield nonbasic[keep], points
 
 
 def brute_force_optimum(form: StandardForm) -> Solution:
@@ -170,17 +167,15 @@ def brute_force_optimum(form: StandardForm) -> Solution:
     nonsingular bases actually examined. Raises TooLarge as
     _nonsingular_batches does.
     """
-    n = form.a.shape[1]
     # Feasible points in basis order, each within the tie band of the best
     # objective so far; the band's floor only rises as the best does.
     contenders: list[tuple[float, np.ndarray]] = []
     best = floor = -math.inf
     count = 0
-    for idx, xbs in _nonsingular_batches(form):
-        count += len(idx)
-        for k in np.flatnonzero((xbs >= -FEASIBLE_TOL).all(axis=1)):
-            x = np.zeros(n)
-            x[idx[k]] = xbs[k]
+    for _, points in _nonsingular_batches(form):
+        count += len(points)
+        for x in points[(points >= -FEASIBLE_TOL).all(axis=1)]:
+            # c @ x per point: a product over the batch would round by _BATCH.
             objective = float(form.c @ x)
             if objective > best:
                 best = objective

@@ -19,7 +19,8 @@ from lpduet import (
     write_report_pair,
 )
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _wrapped():
@@ -34,8 +35,10 @@ def _wrapped():
     "module_name, attribute", [(m, a) for m, a, _ in _wrapped()], ids=lambda v: v
 )
 def test_benchmark_wrapped_attributes_exist(module_name, attribute):
-    # The benchmark's per-layer metrics read 0 for an attribute it cannot find.
+    # The benchmark's per-layer metrics read 0 for an attribute it cannot
+    # find, and must come from this checkout's src/, not an installed copy.
     module = importlib.import_module(module_name)
+    assert Path(module.__file__).resolve().is_relative_to(ROOT / "src")
     assert callable(getattr(module, attribute, None))
 
 

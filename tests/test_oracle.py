@@ -156,12 +156,12 @@ def square_basis_solutions(form):
 
 def basic_solutions(form):
     """(basis, x, feasible, objective) for each basis _nonsingular_batches
-    yields, in its order, in the layout of reference_basic_solutions."""
-    for idx, xbs in lpduet.oracle._nonsingular_batches(form):
-        for cols, xb in zip(idx.tolist(), xbs):
-            x = np.zeros(form.n_cols)
-            x[cols] = xb
-            yield tuple(cols), x, bool((xb >= -lpduet.oracle.FEASIBLE_TOL).all()), float(form.c @ x)
+    yields, in its order, in the layout of reference_basic_solutions: the
+    basis is the complement of the yielded nonbasic columns, x the point."""
+    for nonbasic, points in lpduet.oracle._nonsingular_batches(form):
+        for omitted, x in zip(nonbasic.tolist(), points):
+            cols = tuple(j for j in range(form.n_cols) if j not in omitted)
+            yield cols, x, bool((x >= -lpduet.oracle.FEASIBLE_TOL).all()), float(form.c @ x)
 
 
 def enumeration(solutions):
@@ -408,8 +408,12 @@ def test_budget_is_tested_again_at_the_rank():
 def test_rank_zero_system_has_only_the_origin():
     for text in RANK_ZERO:
         form = to_equality_form(parse_lp_text(text))
-        [(idx, xbs)] = lpduet.oracle._nonsingular_batches(form)
-        assert (idx.shape, idx.dtype, xbs.shape, xbs.dtype) == ((1, 0), np.intp, (1, 0), np.float64)
+        # the one column is nonbasic, and the point is x = 0
+        [(nonbasic, points)] = lpduet.oracle._nonsingular_batches(form)
+        assert (nonbasic.shape, nonbasic.dtype, points.shape, points.dtype) == (
+            (1, 1), np.uint8, (1, 1), np.float64
+        )
+        assert (nonbasic.tolist(), points.tolist()) == ([[0]], [[0.0]])
         sol = brute_force_optimum(form)
         # every row is an = row, and those always bind
         assert (sol.status, sol.objective, sol.iterations) == (Status.OPTIMAL, 0.0, 1), text
@@ -428,10 +432,12 @@ def test_enumerate_toy_bases():
 
 
 def test_enumerate_nonbasic_entries_are_exactly_zero():
-    form = toy_form()
-    for cols, x, _, _ in basic_solutions(form):
-        nonbasic = [j for j in range(form.n_cols) if j not in cols]
-        assert all(x[j] == 0.0 for j in nonbasic)
+    forms = {"toy": toy_form(), "lana": to_equality_form(lana_model())}
+    forms.update((name, to_equality_form(parse_lp_text(text))) for name, text in EDGE_FORMS.items())
+    for name, form in forms.items():
+        for cols, x, _, _ in basic_solutions(form):
+            nonbasic = [j for j in range(form.n_cols) if j not in cols]
+            assert all(x[j] == 0.0 for j in nonbasic), (name, cols)
 
 
 def test_enumerate_skips_singular_pairs():
