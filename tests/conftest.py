@@ -5,12 +5,26 @@ given seed.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 
 from lpduet import LPModel, Relation, Sense, build_model, lana_lp_path, parse_lp_text
 
 SEED = int(os.environ.get("LPDUET_SEED", "20250822"))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benchmark_wrapped() -> list:
+    """bench/tracing.py's WRAPPED: (module, attribute, metric) per traced function.
+
+    The file's source runs in a fresh namespace, so nothing is imported under
+    bench/ and no bytecode is written there.
+    """
+    tracing = ROOT / "bench" / "tracing.py"
+    namespace = {"__name__": "bench_tracing"}
+    exec(compile(tracing.read_text(encoding="utf-8"), str(tracing), "exec"), namespace)
+    return namespace["WRAPPED"]
 
 
 def rng_for(tag: int) -> np.random.Generator:

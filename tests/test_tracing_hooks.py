@@ -6,22 +6,14 @@ per-layer metric. This test only reads bench/tracing.py.
 """
 
 import importlib
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, benchmark_wrapped
 
 
-def _wrapped():
-    spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.WRAPPED
-
-
-@pytest.mark.parametrize("module_name, attribute, metric", _wrapped())
+@pytest.mark.parametrize("module_name, attribute, metric", benchmark_wrapped())
 def test_traced_attribute_resolves_to_a_callable_in_src(module_name, attribute, metric):
     module = importlib.import_module(module_name)
     assert Path(module.__file__).resolve().is_relative_to(ROOT / "src")
