@@ -14,15 +14,15 @@ Introduction to Linear Optimization, 1997, section 2.2). Each of those
 constraints is divided by its largest |entry|, so a row far smaller than its
 slack coefficient still counts, and each candidate is factored as its p x p
 system, not as its m x m submatrix: 6 x 6 in place of 15 x 15 on LANA.
-Candidates are taken 64 at a time, in lexicographic order of their basis
+Candidates are taken _BATCH at a time, in lexicographic order of their basis
 columns, as the n - m nonbasic columns that index their tight rows. Each
 system is factored in place by LAPACK's partial-pivoting LU; the division
 leaves each nonzero row a largest |entry| of exactly 1, so one is nonsingular,
 and solved in place, when no LU pivot falls below SINGULAR_RTOL. A basic
 slack's value then follows from its own unscaled row, and the point's
 nonbasic entries are set to 0. Those two kernel calls are the only work per
-basis: feasibility is tested once per batch, and brute_force_optimum prices
-only the feasible points.
+basis: the systems are gathered, the slacks summed and feasibility tested
+once per batch, and brute_force_optimum prices only the feasible points.
 
 The kernels are scipy's dgetrf and dgetrs from model.lapack, called through
 the module attributes lu_factor and lu_solve so that tools can count and time
@@ -44,12 +44,13 @@ lu_factor, lu_solve = lapack().dgetrf, lapack().dgetrs
 MAX_BASES = 10**6
 FEASIBLE_TOL = 1e-9
 TIE_RTOL = 1e-12
-# Candidates per batch. A process that imports lpduet and runs
-# brute_force_optimum(LANA) 15 times peaks (VmHWM) at 33.5-33.7 MB at 64, and
-# about 0.3 MB higher at 128 and 0.6 MB at 256, where its fastest run takes
-# 113-133 and 107 ms against 122-135 ms at 64 (three processes each, 2-core
-# machine, numpy 2.4, scipy 1.17).
-_BATCH = 64
+# Candidates per batch. A second brute_force_optimum(LANA) call peaks under
+# tracemalloc at 168, 345, 458 and 921 KB at 64, 256, 384 and 1024, against
+# the 512 KB that tests/test_oracle.py allows. A process that imports lpduet
+# and cross-checks LANA once peaks (VmHWM) at 34.2, 34.5, 34.6 and 35.0 MB,
+# and the oracle's median run takes 145, 104, 101 and 101 ms (11 interleaved
+# processes, best of 7 runs each; 2-core machine, numpy 2.4, scipy 1.17).
+_BATCH = 384
 
 
 def _descending_subsets(n: int, k: int, batch: int) -> Iterator[np.ndarray]:
@@ -91,6 +92,37 @@ def _descending_subsets(n: int, k: int, batch: int) -> Iterator[np.ndarray]:
         yield table
 
 
+def _pairwise_sum(term, start: int, stop: int) -> np.ndarray:
+    """term(start) + ... + term(stop - 1), entry by entry, added in the order
+    in which numpy's pairwise summation adds a contiguous row of the same
+    stop - start floats: 0.0 plus the result has the bytes of that row's
+    .sum(), without an array that holds every term at once.
+
+    Below 8 terms the sum runs left to right. Up to 128 terms (numpy's
+    PW_BLOCKSIZE), term j joins running sum (j - start) % 8, the 8 running
+    sums are added in pairs, and the last (stop - start) % 8 terms follow one
+    by one. Above 128 the range is split in two at a multiple of 8. Each
+    term(j) must return a new array.
+    """
+    n = stop - start
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(term, start, start + half) + _pairwise_sum(term, start + half, stop)
+    if n < 8:
+        total = term(start)
+        for j in range(start + 1, stop):
+            total += term(j)
+        return total
+    sums = [term(j) for j in range(start, start + 8)]
+    full = start + n - n % 8
+    for j in range(start + 8, full):
+        sums[(j - start) % 8] += term(j)
+    total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
+    for j in range(full, stop):
+        total += term(j)
+    return total
+
+
 def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (nonbasic, points) for the nonsingular bases, one batch at a time.
 
@@ -130,32 +162,46 @@ def _nonsingular_batches(form: StandardForm) -> Iterator[tuple[np.ndarray, np.nd
     row_scale[row_scale == 0.0] = 1.0
     tight /= row_scale[:, np.newaxis]
     tight_b /= row_scale
-    flat_t = tight.T.ravel()  # tight[r, j] is flat_t[j * len(tight) + r]
-    starts = len(tight) * np.arange(p)[:, np.newaxis]
+    free = n - m  # nonbasic columns per candidate
+    tight_t = tight.T.copy()  # row j: entry j of every tight row
+    # systems[i, j, r] is entry j of candidate i's tight row r, so each
+    # systems[i].T is its p x p system, Fortran-contiguous: LAPACK factors
+    # it in place. One buffer serves every batch.
+    systems = np.empty((min(_BATCH, total), p, p))
     diagonal = np.arange(p)
-    for nonbasic in _descending_subsets(n, n - m, _BATCH):
-        # rows[i]: candidate i's tight constraints, its nonbasic columns then the = rows.
-        rows = np.empty((len(nonbasic), p), dtype=np.intp)
-        rows[:, : n - m] = nonbasic
-        rows[:, n - m :] = np.arange(n, len(tight))
-        # subs[i, r, j] is tight[rows[i, r], j]. take returns a C-ordered
-        # [i, j, r] array, so each subs[i] is Fortran-contiguous: LAPACK
-        # factors it in place and the LU diagonal is read from subs itself.
-        subs = flat_t.take(rows[:, np.newaxis, :] + starts).transpose(0, 2, 1)
+    for nonbasic in _descending_subsets(n, free, _BATCH):
+        batch = systems[: len(nonbasic)]
+        # Tight rows r < free are the candidate's nonbasic columns' rows; the
+        # = rows follow, the same in every candidate.
+        index = nonbasic.astype(np.intp)
+        for j, entries in enumerate(tight_t):
+            batch[:, j, :free] = entries.take(index)
+        batch[:, :, free:] = tight_t[:, n:]
         # overwrite_a=1; trans=0, overwrite_b=1 by position: a keyword costs f2py 0.2 us.
+        subs = batch.transpose(0, 2, 1)
         pivots = [lu_factor(sub, 1)[1] for sub in subs]
-        smallest = np.abs(subs[:, diagonal, diagonal]).min(axis=1)
-        keep = np.flatnonzero(smallest >= SINGULAR_RTOL)
-        # Row j: candidate keep[j]'s right-hand side, then its solution.
-        structural = tight_b[rows[keep]]
+        keep = np.flatnonzero(np.abs(batch[:, diagonal, diagonal]).min(axis=1) >= SINGULAR_RTOL)
+        chosen = nonbasic[keep]
+        # Row j: candidate keep[j]'s right-hand side, solved in place, then
+        # its slacks.
+        points = np.empty((len(keep), n))
+        points[:, :free] = tight_b[chosen]
+        points[:, free:p] = tight_b[n:]
+        structural = points[:, :p]
         for i, rhs in zip(keep.tolist(), structural):
             lu_solve(subs[i], pivots[i], rhs, 0, 1)
-        # Each basic slack from its own unscaled row, summed per candidate: a
-        # matrix product over the batch would round differently by _BATCH.
-        slacks = (slack_b - (slack_a * structural[:, np.newaxis]).sum(axis=2)) / slack_coef
-        points = np.concatenate([structural, slacks], axis=1)
-        np.put_along_axis(points, nonbasic[keep], 0.0, axis=1)
-        yield nonbasic[keep], points
+        del index, pivots  # freed before the slacks, where a batch's memory peaks
+        # Each basic slack from its own unscaled row. Its p products are
+        # added as numpy's .sum() adds a row of them, from 0.0 (which turns a
+        # -0.0 total into 0.0), with no K x m x p array built; a matrix
+        # product over the batch would round differently by _BATCH.
+        slacks = points[:, p:]
+        slacks[...] = _pairwise_sum(lambda j: np.multiply.outer(structural[:, j], slack_a[:, j]), 0, p)
+        slacks += 0.0
+        np.subtract(slack_b, slacks, out=slacks)
+        slacks /= slack_coef
+        points[np.arange(len(keep))[:, np.newaxis], chosen] = 0.0
+        yield chosen, points
 
 
 def brute_force_optimum(form: StandardForm) -> Solution:

@@ -201,6 +201,12 @@ def reference_forms():
         yield f"unbounded{i}", to_equality_form(random_unbounded_lp(rng_for(1500 + i)))
     for name, text in EDGE_FORMS.items():
         yield name, to_equality_form(parse_lp_text(text))
+    # 8-12 structural variables: numpy sums a slack row's 8 or more products
+    # pairwise, not left to right
+    drawn = (random_bounded_lp(rng_for(1600 + i), max_vars=12, max_rows=4) for i in itertools.count())
+    wide = itertools.islice((m for m in drawn if m.n_vars >= 8), 4)
+    for i, model in enumerate(wide):
+        yield f"wide{i}", to_equality_form(model)
 
 
 def test_enumeration_matches_the_per_subset_reference():
@@ -342,18 +348,49 @@ def test_nonbasic_sets_past_255_columns_are_not_wrapped(n, k):
     npt.assert_array_equal(got, list(itertools.combinations(range(n), k))[::-1])
 
 
-def test_oracle_allocates_little_on_lana():
-    # the nonbasic-set table is uint8 (77.5 KB on LANA); as int64 it alone
-    # would take about 620 KB
-    form = to_equality_form(lana_model())
+def second_call_peak(form):
     brute_force_optimum(form)
     tracemalloc.start()
     try:
         brute_force_optimum(form)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 512 * 1024
+
+
+def test_oracle_allocates_little_on_lana():
+    # the nonbasic-set table is uint8 (77.5 KB on LANA); as int64 it alone
+    # would take about 620 KB
+    assert second_call_peak(to_equality_form(lana_model())) < 512 * 1024
+
+
+def test_oracle_memory_per_candidate_stays_small(monkeypatch):
+    # A second LANA call peaked at 458 KB at _BATCH = 384 and 710 KB at 768:
+    # about 0.65 KB per candidate of a batch, most of it the candidate's 6 x 6
+    # system (288 bytes) and its LU pivots (about 150). Building each batch's
+    # K x 15 x 6 slack products at once takes it to about 1.15 KB.
+    form = to_equality_form(lana_model())
+    batch = lpduet.oracle._BATCH
+    peak = second_call_peak(form)
+    monkeypatch.setattr(lpduet.oracle, "_BATCH", 2 * batch)
+    doubled = second_call_peak(form)
+    assert peak < 500 * 1024
+    assert doubled - peak < 800 * batch
+
+
+@pytest.mark.parametrize("p", [*range(1, 41), 127, 128, 129, 135, 136, 137, 256, 300, 1000])
+def test_pairwise_sum_has_the_bytes_of_numpys_row_sums(p):
+    # each oracle slack must have the bytes that (slack_a * x).sum() gives
+    rng = rng_for(8000 + p)
+    rows = rng.normal(size=(12, p)) * 10.0 ** rng.integers(-8, 9, size=(12, p))
+    rows[rng.random((12, p)) < 0.2] = 0.0
+    rows[0] = -0.0
+    rows[1, ::2] = -0.0
+    rows[2] = rows[2, 0]
+    rows[3, 1::2] = -rows[3, ::2][: p // 2]
+    terms = [rows[:, j].copy() for j in range(p)]
+    got = 0.0 + lpduet.oracle._pairwise_sum(lambda j: terms[j].copy(), 0, p)
+    assert got.tobytes() == rows.sum(axis=1).tobytes()
 
 
 def test_budget_is_tested_before_the_rank(monkeypatch):
