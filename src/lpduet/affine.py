@@ -258,28 +258,30 @@ def solve_affine(
     (0 iterations) or phase 1 finds no interior point (its iterations).
     Otherwise stops at the first of: scaled step norm, relative objective
     change or scaled complementarity below tol (optimal); an unblocked ascent
-    ray (unbounded); or max_iter (iteration limit). Returns the solution plus
-    one trace row per iterate, the phase-1 point first:
-    (iteration, objective, step_norm, min_x, residual), with the objective in
-    the model's own sense and residual = ||b - A x|| / (1 + ||b||) over the
-    rows iterated on. Arithmetic that leaves the float range, as data near
-    1e154 and beyond can make it do, raises NonFiniteInput.
+    ray (unbounded); or max_iter (iteration limit). Returns the solution and
+    its trace, the very list solution.trace: one row per iterate, the
+    phase-1 point first, (iteration, objective, step_norm, min_x, residual),
+    with the objective in the model's own sense and residual =
+    ||b - A x|| / (1 + ||b||) over the rows iterated on. Arithmetic that
+    leaves the float range, as data near 1e154 and beyond can make it do,
+    raises NonFiniteInput.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _solve_affine(form, opts or IpmOptions())
+            solution = _solve_affine(form, opts or IpmOptions())
     except FloatingPointError as exc:
         raise NonFiniteInput(f"arithmetic left the float range ({exc})") from None
+    return solution, solution.trace
 
 
-def _solve_affine(form: StandardForm, opts: IpmOptions) -> tuple[Solution, list[tuple]]:
+def _solve_affine(form: StandardForm, opts: IpmOptions) -> Solution:
     kept = independent_rows(form)
     if kept is None:
-        return solution_at(form, Status.INFEASIBLE, 0), []
+        return solution_at(form, Status.INFEASIBLE, 0)
     try:
         x = find_interior_point(kept, opts)
     except InfeasibleInterior as exc:
-        return solution_at(form, Status.INFEASIBLE, exc.iterations), []
+        return solution_at(form, Status.INFEASIBLE, exc.iterations)
     a, b, c = kept.a, kept.b, kept.c
 
     b_scale = 1.0 + float(np.linalg.norm(b))
@@ -295,7 +297,7 @@ def _solve_affine(form: StandardForm, opts: IpmOptions) -> tuple[Solution, list[
         try:
             x_new = step(x, direction.d, opts.alpha, zero_tol)
         except UnboundedDirection:
-            return solution_at(form, Status.UNBOUNDED, k), rows
+            return solution_at(form, Status.UNBOUNDED, k, trace=rows)
         # Drift control: the multiplicative step preserves A x = b only up to
         # the projection residual, which compounds over hundreds of iterates
         # at large |b|; snap back before it can leave the budget.
@@ -317,4 +319,4 @@ def _solve_affine(form: StandardForm, opts: IpmOptions) -> tuple[Solution, list[
             status = Status.OPTIMAL
             break
 
-    return solution_at(form, status, iterations, x), rows
+    return solution_at(form, status, iterations, x, rows)

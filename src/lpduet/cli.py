@@ -8,6 +8,8 @@ Exit codes: 0 optimal, 2 infeasible, 3 unbounded, 4 iteration limit,
 1 usage, parse or internal error. With --method both the exit code follows
 the simplex status when the two engines disagree. An engine that raises
 leaves the reports of the others printed, then one error line, and exit 1.
+--trace writes each engine's Solution.trace, which the engine records in its
+own loop.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 from .affine import IpmOptions, solve_affine
 from .errors import LpError
 from .lp_format import lana_lp_path, parse_lp_text
-from .model import LPModel, Sense, Solution, Status, lapack, native_objective, to_equality_form
+from .model import Status, lapack, to_equality_form
 from .reporting import (
     build_report,
     write_report_pair,
@@ -96,22 +98,6 @@ def _options(ns) -> dict:
     }
 
 
-def _run_simplex(model: LPModel, opts: SimplexOptions) -> tuple[Solution, list[tuple]]:
-    rows: list[tuple] = []
-    negated = model.sense is Sense.MIN
-
-    def record(iteration, entering, leaving, obj_finite, _obj_m):
-        # on_pivot reports the maximize sense; the trace uses the model's own.
-        rows.append((iteration, native_objective(obj_finite, negated), entering, leaving))
-
-    return solve_simplex(model, opts, on_pivot=record), rows
-
-
-def _run_affine(model: LPModel, opts: IpmOptions) -> tuple[Solution, list[tuple]]:
-    return solve_affine(to_equality_form(model), opts)
-
-
-_ENGINES = {"simplex": _run_simplex, "affine": _run_affine}
 # Why an engine leaves no trace rows: the affine trace always holds the
 # phase-1 point, and the simplex records one row per pivot.
 _NO_TRACE = {"simplex": "the simplex made no pivot", "affine": "no interior point was found"}
@@ -145,11 +131,15 @@ def _cmd_solve(ns) -> int:
     for method in methods:
         start = time.perf_counter()
         try:
-            solution, traces[method] = _ENGINES[method](model, opts[method])
+            if method == "simplex":
+                solution = solve_simplex(model, opts[method])
+            else:
+                solution, _ = solve_affine(to_equality_form(model), opts[method])
         except LpError as exc:
             errors.append(f"error: {method}: {exc}")
             continue
         elapsed_ms = 1e3 * (time.perf_counter() - start)
+        traces[method] = solution.trace
         reports.append(build_report(method, model, solution, elapsed_ms))
 
     fmt = "json" if ns.json else "human"

@@ -23,7 +23,6 @@ except that a -0.0 coefficient reads back as 0.0.
 
 from __future__ import annotations
 
-import importlib.resources
 import itertools
 import math
 import re
@@ -200,4 +199,4 @@ def write_lp_text(model: LPModel) -> str:
 
 def lana_lp_path() -> Path:
     """Filesystem path of the bundled LANA fixture."""
-    return Path(str(importlib.resources.files("lpduet").joinpath("data/lana.lp")))
+    return Path(__file__).with_name("data") / "lana.lp"

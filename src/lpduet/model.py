@@ -381,6 +381,10 @@ class Solution:
     ``x`` holds the structural variables (None when the status carries no
     point), ``objective`` is model.objective @ x in the model's native sense,
     and ``binding`` lists the original rows that hold with equality.
+    ``trace`` holds the engine's iteration rows in its trace CSV's column
+    order, objectives in the model's native sense: one (pivot, objective,
+    entering, leaving) per simplex pivot, one (iteration, objective,
+    step_norm, min_x, residual) per affine iterate, and none from the oracle.
     """
 
     status: Status
@@ -388,6 +392,7 @@ class Solution:
     objective: float | None
     iterations: int
     binding: tuple[int, ...]
+    trace: list[tuple]
 
 
 def native_objective(value: float, negated: bool) -> float:
@@ -396,21 +401,23 @@ def native_objective(value: float, negated: bool) -> float:
 
 
 def solution_at(
-    form: StandardForm, status: Status, iterations: int, x_full: np.ndarray | None = None
+    form: StandardForm, status: Status, iterations: int, x_full: np.ndarray | None = None, trace: list | None = None
 ) -> Solution:
     """The Solution every engine reports for an equality-form point, or for none.
 
     ``x`` is the structural block of ``x_full`` and ``objective`` is c . x in
     the model's native sense, equal to model.objective @ x bit for bit.
     Equality rows always bind; an inequality row binds when its slack or
-    surplus is within row_budget(b_row) of zero.
+    surplus is within row_budget(b_row) of zero. ``trace`` is kept as the
+    very list given, or a new empty one.
     """
+    trace = [] if trace is None else trace
     if x_full is None:
-        return Solution(status, None, None, iterations, ())
+        return Solution(status, None, None, iterations, (), trace)
     n = form.n_structural
     x = x_full[:n].copy()
     objective = native_objective(float(form.c[:n] @ x), form.negated)
     rows = form.slack_rows
     binding = np.ones(form.n_rows, dtype=bool)
     binding[rows] = np.abs(x_full[n:]) <= row_budget(form.b[rows])
-    return Solution(status, x, objective, iterations, tuple(np.flatnonzero(binding).tolist()))
+    return Solution(status, x, objective, iterations, tuple(np.flatnonzero(binding).tolist()), trace)

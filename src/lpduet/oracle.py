@@ -210,8 +210,8 @@ def brute_force_optimum(form: StandardForm) -> Solution:
     The winner is the lexicographically first feasible basis whose objective
     lies within TIE_RTOL * (1 + |best|) of the best, so that rounding in the
     last bits does not pick among bases that tie. ``iterations`` counts the
-    nonsingular bases actually examined. Raises TooLarge as
-    _nonsingular_batches does.
+    nonsingular bases actually examined, and the trace is empty. Raises
+    TooLarge as _nonsingular_batches does.
     """
     # Feasible points in basis order, each within the tie band of the best
     # objective so far; the band's floor only rises as the best does.

@@ -17,18 +17,20 @@ Once no artificial is basic (phase 2), z_m is exactly 0 and decides nothing.
 The tableau then keeps the first m + 1 rows of the same array, a view, and
 obj_m is exactly 0.0 from there on. A form with no artificial starts in
 phase 2.
+
+Each pivot appends its own row (pivot, objective, entering, leaving) to the
+Solution's trace, with the objective in the model's own sense.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .errors import ZeroPivot
-from .model import BigMForm, LPModel, Solution, Status, row_budget, solution_at, to_big_m_form
+from .model import BigMForm, LPModel, Solution, Status, native_objective, row_budget, solution_at, to_big_m_form
 
 LARGEST_COEFFICIENT = "largest_coefficient"
 BLAND = "bland"
@@ -189,11 +191,7 @@ def pivot(t: Tableau, row: int, col: int, pivot_tol: float = SimplexOptions.pivo
     return t
 
 
-def solve_simplex(
-    model: LPModel,
-    opts: SimplexOptions | None = None,
-    on_pivot: Callable[[int, int, int, float, float], None] | None = None,
-) -> Solution:
+def solve_simplex(model: LPModel, opts: SimplexOptions | None = None) -> Solution:
     """Run the Big-M simplex on a model.
 
     Phase 1 pivots on the (m + 2) x (n + 1) tableau over the equality form's
@@ -212,16 +210,17 @@ def solve_simplex(
     degenerate pivots the engine switches to Bland's rule for the rest of the
     run, which prevents cycling.
 
-    ``on_pivot``, when given, is called after every pivot with
-    (pivot_count, entering_col, leaving_col, objective_finite, objective_m),
-    the objective in the internal maximize sense; objective_m is exactly 0.0
-    once no artificial is basic.
+    The Solution's trace holds one (pivot, objective, entering, leaving) row
+    per pivot, the objective in the model's own sense and never -0.0; a run
+    with no pivot has an empty trace.
     """
     opts = opts or SimplexOptions()
     form = to_big_m_form(model)
     t = init_tableau(form)
     m_rows = t.rhs.shape[0]
     n_base = form.base.n_cols  # basis entries from n_base on are artificials
+    negated = form.base.negated
+    trace: list[tuple] = []
 
     effective = opts
     degenerate_run = 0
@@ -244,8 +243,7 @@ def solve_simplex(
             # No artificial is basic any more: in exact arithmetic z_m and
             # obj_m are 0. Drop the M row, with its rounding residue.
             t = Tableau(t.full[: m_rows + 1], t.basis)
-        if on_pivot is not None:
-            on_pivot(pivots, enter, leaving_col, t.obj_fin, t.obj_m)
+        trace.append((pivots, native_objective(t.obj_fin, negated), enter, leaving_col))
         degenerate_run = degenerate_run + 1 if degenerate else 0
         if effective.anti_cycling != BLAND and degenerate_run >= 3 * m_rows:
             effective = replace(opts, anti_cycling=BLAND)
@@ -259,7 +257,7 @@ def solve_simplex(
         # at the limit the point means nothing.
         if status is not Status.ITERATION_LIMIT:
             status = Status.INFEASIBLE
-        return solution_at(base, status, pivots)
+        return solution_at(base, status, pivots, trace=trace)
     if status is Status.UNBOUNDED:
-        return solution_at(base, status, pivots)
-    return solution_at(base, status, pivots, x_full[:n_base])
+        return solution_at(base, status, pivots, trace=trace)
+    return solution_at(base, status, pivots, x_full[:n_base], trace)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lpduet.affine
+import lpduet.simplex
 from conftest import (
     lana_model,
     lana_reference,
@@ -122,14 +123,23 @@ def test_criterion_4_published_simplex_points_check_out():
     _verdict(4, "published vertex points are feasible and ranked correctly", ok)
 
 
-def test_criterion_5a_simplex_invariants():
+def test_criterion_5a_simplex_invariants(monkeypatch):
     opts = SimplexOptions()
     ok = True
+    # (obj_m, obj_fin) as each entering choice reads them: at the start and
+    # after each pivot, once any M row is dropped.
+    objs = []
+
+    def traced_select_entering(t, *args):
+        objs.append((t.obj_m, t.obj_fin))
+        return select_entering(t, *args)
+
+    monkeypatch.setattr(lpduet.simplex, "select_entering", traced_select_entering)
     for i in range(100):
         m = random_bounded_lp(rng_for(1000 + i))
-        objs = []
-        sol = solve_simplex(m, on_pivot=lambda k, e, l, fin, mc: objs.append((mc, fin)))
-        ok = ok and sol.status is Status.OPTIMAL
+        objs.clear()
+        sol = solve_simplex(m)
+        ok = ok and sol.status is Status.OPTIMAL and len(objs) == sol.iterations + 1
         for prev, cur in zip(objs, objs[1:]):
             slack = 1e-9 * (1.0 + abs(prev[1])) + 1e-12
             if cur[0] > prev[0] + 1e-12:

@@ -32,15 +32,12 @@ def test_beale_largest_coefficient_rule_cycles_with_period_6():
 
 
 def test_beale_switches_to_bland_and_reaches_the_optimum():
-    seen = []
-    sol = solve_simplex(
-        beale_lp(), on_pivot=lambda k, enter, leave, fin, m: seen.append((enter, leave, fin))
-    )
+    sol = solve_simplex(beale_lp())
     assert sol.status is Status.OPTIMAL
     assert sol.iterations == 12
     assert abs(sol.objective - 1.25) <= 1e-12
-    assert [(e, l) for e, l, _ in seen] == BEALE_PIVOTS
-    assert all(fin == 0.0 for _, _, fin in seen[:9])
+    assert [(e, l) for _, _, e, l in sol.trace] == BEALE_PIVOTS
+    assert all(objective == 0.0 for _, objective, _, _ in sol.trace[:9])
 
 
 def test_beale_under_bland_from_the_start():

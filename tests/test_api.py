@@ -57,7 +57,8 @@ def test_benchmark_call_sequence_reports_infeasible_models():
         affine, rows = solve_affine(form)
         oracle = brute_force_optimum(form)
         assert (simplex.status, affine.status, oracle.status) == (Status.INFEASIBLE,) * 3, k
-        assert rows == [], k
+        assert rows == [] and rows is affine.trace, k
+        assert oracle.trace == [], k
         reports = json.loads(
             write_report_pair(
                 build_report("simplex", lp, simplex, 1.0), build_report("affine", lp, affine, 1.0), "json"

@@ -10,7 +10,18 @@ import pytest
 
 import lpduet.affine
 from conftest import DUPLICATE_ROWS, near_duplicate_rows_lp, rng_for
-from lpduet import IPM_TRACE_HEADER, SIMPLEX_TRACE_HEADER, lana_lp_path, run_cli, write_lp_text
+from lpduet import (
+    IPM_TRACE_HEADER,
+    SIMPLEX_TRACE_HEADER,
+    lana_lp_path,
+    parse_lp_text,
+    run_cli,
+    solve_affine,
+    solve_simplex,
+    to_equality_form,
+    write_iteration_trace,
+    write_lp_text,
+)
 from lpduet.errors import NotPositiveDefinite
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -274,6 +285,8 @@ def test_min_trace_objective_at_zero_reads_positive_zero(tmp_path, capsys):
     trace = tmp_path / "tied.csv"
     assert run_cli(["solve", tied, "--method", "simplex", "--trace", str(trace)]) == 0
     assert trace.read_text().splitlines() == [SIMPLEX_TRACE_HEADER, "1,0.0,0,4", "2,2.0,1,3"]
+    rows = solve_simplex(parse_lp_text(Path(tied).read_text())).trace
+    assert [row[1].hex() for row in rows] == [(0.0).hex(), (2.0).hex()]
 
 
 def test_both_methods_trace_suffixing(tmp_path, capsys):
@@ -294,6 +307,16 @@ def test_both_methods_trace_bytes_are_pinned(tmp_path, capsys):
     for method in ("simplex", "affine"):
         written = (tmp_path / f"run.{method}.csv").read_bytes()
         assert written == (DATA / f"toy_trace.{method}.csv").read_bytes()
+    # The API's Solution.trace holds the same rows: one per simplex pivot, and
+    # the affine rows are the list solve_affine returns.
+    model = parse_lp_text(TOY)
+    simplex = solve_simplex(model)
+    affine, rows = solve_affine(to_equality_form(model))
+    assert rows is affine.trace
+    assert len(simplex.trace) == simplex.iterations
+    for method, solution in (("simplex", simplex), ("affine", affine)):
+        write_iteration_trace(solution.trace, tmp_path / "api.csv")
+        assert (tmp_path / "api.csv").read_bytes() == (DATA / f"toy_trace.{method}.csv").read_bytes()
 
 
 def test_lana_reports_are_pinned(capsys):
@@ -387,6 +410,7 @@ def test_missing_simplex_trace_is_reported(tmp_path, capsys):
     assert "iterations: 0" in out
     assert err == "warning: no simplex trace written: the simplex made no pivot\n"
     assert not list(tmp_path.glob("run*.csv"))
+    assert solve_simplex(parse_lp_text("max: -x;\nc: x <= 1;\n")).trace == []
 
 
 @pytest.mark.parametrize("method", ["simplex", "affine", "both"])

@@ -274,6 +274,7 @@ def test_lana_optimum_is_the_first_basis_in_the_tie_band():
     sol = brute_force_optimum(form)
     npt.assert_array_equal(sol.x, x[: form.n_structural])
     assert sol.binding == (4, 9, 10, 11, 12, 14)
+    assert sol.trace == []
 
 
 def counting(monkeypatch):

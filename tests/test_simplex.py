@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import lpduet.simplex
 from conftest import lana_model, rng_for, random_bounded_lp, scaled_rows_lp
 from lpduet import (
     Relation,
@@ -102,9 +103,16 @@ def test_pivot_cleans_basic_columns_exactly():
     assert t.z_fin[0] == 0.0 and t.z_m[0] == 0.0
 
 
-def test_obj_m_reads_positive_zero_on_every_pivot_without_artificials():
+def test_obj_m_reads_positive_zero_on_every_pivot_without_artificials(monkeypatch):
     seen = []
-    solve_simplex(toy_model(), on_pivot=lambda k, e, l, fin, mc: seen.append(mc.hex()))
+
+    def traced_pivot(*args):
+        t = pivot(*args)
+        seen.append(t.obj_m.hex())
+        return t
+
+    monkeypatch.setattr(lpduet.simplex, "pivot", traced_pivot)
+    solve_simplex(toy_model())
     assert seen == [(0.0).hex()] * 2
 
 
@@ -194,13 +202,8 @@ LANA_PIVOTS = {
 
 @pytest.mark.parametrize("rule", [LARGEST_COEFFICIENT, BLAND])
 def test_lana_pivot_sequence_is_pinned(rule):
-    seen = []
-    solve_simplex(
-        lana_model(),
-        SimplexOptions(anti_cycling=rule),
-        on_pivot=lambda k, enter, leave, fin, m: seen.append((enter, leave)),
-    )
-    assert seen == LANA_PIVOTS[rule]
+    trace = solve_simplex(lana_model(), SimplexOptions(anti_cycling=rule)).trace
+    assert [(enter, leave) for _, _, enter, leave in trace] == LANA_PIVOTS[rule]
 
 
 def test_solve_lana_with_bland_rule():
@@ -260,21 +263,30 @@ def test_simplex_options_reject_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         SimplexOptions(**{field: value})
 
-def test_on_pivot_callback_sees_every_pivot():
-    seen = []
-    sol = solve_simplex(toy_model(), on_pivot=lambda *args: seen.append(args))
-    assert len(seen) == sol.iterations == 2
-    counts = [row[0] for row in seen]
+def test_trace_has_one_row_per_pivot():
+    sol = solve_simplex(toy_model())
+    assert len(sol.trace) == sol.iterations == 2
+    counts = [row[0] for row in sol.trace]
     assert counts == [1, 2]
-    assert seen[-1][3] == 10.0  # finite objective after the last pivot
+    assert sol.trace[-1][1] == 10.0  # objective after the last pivot
 
 
-def test_objective_monotone_over_random_instances():
+def test_objective_monotone_over_random_instances(monkeypatch):
+    # Each entering choice reads the tableau the previous pivot left, after
+    # any drop of the M row: (obj_m, obj_fin) at the start and after each pivot.
+    objs = []
+
+    def traced_select_entering(t, *args):
+        objs.append((t.obj_m, t.obj_fin))
+        return select_entering(t, *args)
+
+    monkeypatch.setattr(lpduet.simplex, "select_entering", traced_select_entering)
     for i in range(20):
         m = random_bounded_lp(rng_for(600 + i))
-        objs = []
-        sol = solve_simplex(m, on_pivot=lambda k, e, l, fin, mc: objs.append((mc, fin)))
+        objs.clear()
+        sol = solve_simplex(m)
         assert sol.status is Status.OPTIMAL
+        assert len(objs) == sol.iterations + 1
         for prev, cur in zip(objs, objs[1:]):
             slack = 1e-9 * (1.0 + abs(prev[1])) + 1e-12
             if cur[0] > prev[0] + 1e-12:

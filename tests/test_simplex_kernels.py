@@ -11,7 +11,7 @@ for bit on those columns, and the entering column must be the same, so no
 tested run lets an artificial re-enter. A reference solve built from them
 keeps the full (m + 2)-row tableau to the end and resets its M row once no
 artificial is basic; solve_simplex, which drops the M row there, must take
-the same path to the same bits.
+the same path to the same bits, and its trace must record that path.
 """
 
 from dataclasses import dataclass, replace
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import lpduet.simplex
 from conftest import SEED, beale_lp, klee_minty_lp, lana_model, random_bounded_lp, rng_for
 from lpduet import Relation, Sense, SimplexOptions, StandardForm, Status, build_model, solve_simplex
-from lpduet.model import FEASIBILITY_TOL, to_big_m_form, to_equality_form
+from lpduet.model import FEASIBILITY_TOL, native_objective, to_big_m_form, to_equality_form
 from lpduet.simplex import (
     BLAND,
     LARGEST_COEFFICIENT,
@@ -217,7 +217,9 @@ def ref_solve_simplex(model, opts):
     After the pivot that takes the last artificial out of the basis (before
     the first pivot when the form has none), the M row is reset to its exact
     values: 0 on the form's columns, 1 on the artificials, and obj_m 0.
-    Returns (on_pivot stream, status, x, the pivot count at the reset or None).
+    Returns (pivot stream, status, x, the pivot count at the reset or None).
+    The stream holds (pivot, entering, leaving, obj_fin, obj_m), the last two
+    as hex, read after each pivot and before any reset.
     """
     big = ref_big_m(model)
     n_base = big.form.n_cols
@@ -250,9 +252,9 @@ def ref_solve_simplex(model, opts):
         degenerate = ref.rhs[leave] <= tol * (1.0 + float(np.abs(ref.rhs).max()))
         leaving_col = ref.basis[leave]
         ref = ref_pivot(ref, leave, enter, tol)
+        stream.append((k, enter, leaving_col, ref.obj_fin.hex(), ref.obj_m.hex()))
         if leaving_col >= n_base and max(ref.basis) < n_base:
             ref, switch = reset(ref), k
-        stream.append((k, enter, leaving_col, ref.obj_fin.hex(), ref.obj_m.hex()))
         degenerate_run = degenerate_run + 1 if degenerate else 0
         if effective.anti_cycling != BLAND and degenerate_run >= 3 * m:
             effective = replace(opts, anti_cycling=BLAND)
@@ -274,27 +276,31 @@ def ref_solve_simplex(model, opts):
 
 
 def assert_solve_matches_reference(model, opts, monkeypatch):
-    """Same on_pivot stream and x bits as the reference solve; every pivot
-    runs on the equality form's n_base columns, after the switch without the
-    M row, and reports obj_m as +0.0 there. Returns (pivots, pivots after the
-    switch)."""
+    """Same pivot stream and x bits as the reference solve, and a trace that
+    records the stream; every pivot runs on the equality form's n_base
+    columns, after the switch without the M row, and reports obj_m as +0.0
+    there. Returns (pivots, pivots after the switch)."""
     big = ref_big_m(model)
     m, n_base = big.form.a.shape
     shapes = []
+    stream = []
 
-    def traced_pivot(t, *args, **kwargs):
+    def traced_pivot(t, row, col, *args):
+        # Read after the pivot, before solve_simplex drops the M row.
         shapes.append(t.full.shape)
-        return pivot(t, *args, **kwargs)
+        leaving_col = t.basis[row]
+        t = pivot(t, row, col, *args)
+        stream.append((len(stream) + 1, col, leaving_col, t.obj_fin.hex(), t.obj_m.hex()))
+        return t
 
     monkeypatch.setattr(lpduet.simplex, "pivot", traced_pivot)
-    stream = []
-    sol = solve_simplex(
-        model, opts, on_pivot=lambda k, e, l, fin, mc: stream.append((k, e, l, fin.hex(), mc.hex()))
-    )
+    sol = solve_simplex(model, opts)
     monkeypatch.undo()
 
     ref_stream, ref_status, ref_x, switch = ref_solve_simplex(model, opts)
     assert stream == ref_stream
+    negated = big.form.negated
+    assert sol.trace == [(k, native_objective(float.fromhex(fin), negated), e, l) for k, e, l, fin, _ in stream]
     assert sol.status is ref_status and sol.iterations == len(stream)
     assert (sol.x is None) == (ref_x is None)
     if ref_x is not None:
