@@ -50,6 +50,10 @@ TIE_RTOL = 1e-12
 # and cross-checks LANA once peaks (VmHWM) at 34.2, 34.5, 34.6 and 35.0 MB,
 # and the oracle's median run takes 145, 104, 101 and 101 ms (11 interleaved
 # processes, best of 7 runs each; 2-core machine, numpy 2.4, scipy 1.17).
+# Wide forms pay for it: a max of 40 structural variables under 3 <= rows
+# (12,341 candidates) took 0.38-0.49 s, against 0.30-0.34 s with the earlier
+# batches of 64, and its tracemalloc peak rose from 2.9 to 5.9 MB: a batch's
+# systems take _BATCH * p * p * 8 bytes, 4.9 MB at p = 40.
 _BATCH = 384
 
 

@@ -20,6 +20,20 @@ phase 2.
 
 Each pivot appends its own row (pivot, objective, entering, leaving) to the
 Solution's trace, with the objective in the model's own sense.
+
+The rank-1 update takes its products from one np.dot of the factor column by
+the pivot row, a k = 1 matrix product: BLAS rounds each product once and sums
+nothing, so every entry is still one multiply and one subtract, and every
+choice, trace row and Solution is the same as from a broadcast multiply. On a
+62 x 173 dense-mixed phase-1 tableau the whole update takes 12 us, against
+20-21 us with a broadcast multiply, 22-23 us with np.outer and 40-43 us with
+`@` (2-core machine, numpy 2.4, OpenBLAS 0.3.31). An in-place dgemm from
+scipy's _fblas takes 6-8 us, but a simplex run loads no scipy, and importing
+scipy and loading _fblas takes 13-16 ms. One difference: BLAS forms a zero
+product as +0.0 where the multiply gives -0.0, so a -0.0 body entry (a zero
+coefficient of a row negated for its negative rhs) can keep its sign where the
+broadcast form turned it to +0.0. Such an entry still reads as zero, and the
+rhs column and objective rows, which hold no -0.0, are unchanged to the bit.
 """
 
 from __future__ import annotations
@@ -167,8 +181,10 @@ def pivot(t: Tableau, row: int, col: int, pivot_tol: float = SimplexOptions.pivo
     """Gauss-Jordan pivot on (row, col), in place; returns t.
 
     One rank-1 update covers the body, rhs and the objective rows: each entry
-    is updated as entry - factor * pivot_row_entry, one multiply then one
-    subtract.
+    is updated as entry - factor * pivot_row_entry. The products come from one
+    k = 1 np.dot, each rounded once and none summed, then one subtract; a zero
+    product is +0.0, so a -0.0 body entry may keep its sign (see the module
+    docstring).
     """
     full = t.full
     p = float(full[row, col])
@@ -177,7 +193,7 @@ def pivot(t: Tableau, row: int, col: int, pivot_tol: float = SimplexOptions.pivo
     full[row] /= p
     factors = full[:, col].copy()
     factors[row] = 0.0
-    full -= factors[:, None] * full[row]
+    full -= np.dot(factors[:, None], full[row][None, :])
     # The pivot column is a unit vector by construction; make it exact.
     full[:, col] = 0.0
     full[row, col] = 1.0

@@ -176,8 +176,8 @@ def run_lockstep(model, opts, limit=500):
 
 
 def dense_mixed_lp(rng, m=60, n=120, n_eq=8):
-    """A feasible bounded 60 x 120 LP of dense coefficients mixing <=, >= and
-    = rows, each anchored at a strictly positive witness point; the first row
+    """A feasible bounded m x n LP of dense coefficients mixing <=, >= and =
+    rows, each anchored at a strictly positive witness point; the first row
     caps the variable sum."""
     witness = rng.uniform(0.5, 2.0, n)
     a = np.round(rng.uniform(-1.0, 1.0, (m, n)), 3)
@@ -209,6 +209,117 @@ def test_kernels_match_references_on_random_models():
 def test_kernels_match_references_on_a_dense_mixed_model():
     pivots = run_lockstep(dense_mixed_lp(rng_for(3100)), SimplexOptions(), limit=2000)
     assert 60 <= pivots < 2000
+
+
+def test_kernels_match_references_on_a_blas_sized_model():
+    # 100 x 200: a tableau large enough for BLAS to block and thread the
+    # pivot's products.
+    model = dense_mixed_lp(rng_for(3101), m=100, n=200, n_eq=12)
+    pivots = run_lockstep(model, SimplexOptions(), limit=5000)
+    assert 100 <= pivots < 5000
+
+
+def broadcast_pivot(t, row, col, pivot_tol=SimplexOptions.pivot_tol):
+    """pivot() with its products from a broadcast multiply, not np.dot: the
+    multiply-then-subtract reference, whose zero products keep their sign."""
+    full = t.full
+    full[row] /= float(full[row, col])
+    factors = full[:, col].copy()
+    factors[row] = 0.0
+    full -= factors[:, None] * full[row]
+    full[:, col] = 0.0
+    full[row, col] = 1.0
+    rhs = t.rhs
+    low = float(rhs.min())
+    if low < 0.0:
+        window = pivot_tol * (1.0 + max(float(rhs.max()), -low))
+        rhs[(rhs < 0.0) & (rhs >= -window)] = 0.0
+    t.basis = t.basis[:row] + (int(col),) + t.basis[row + 1 :]
+    return t
+
+
+def flipped_row_lp(rng):
+    """A feasible bounded 6 x 8 LP with zero coefficients in every row. Rows 1
+    and 2 have a negative rhs (a >= and a <=), so build_model negates them and
+    their zero coefficients become -0.0."""
+    n = 8
+    witness = rng.uniform(0.5, 2.0, n)
+    rows = [(np.ones(n), Relation.LE, float(witness.sum() * 2.0))]
+    for i in range(1, 6):
+        a = np.round(rng.uniform(-2.0, 2.0, n), 2)
+        a[rng.random(n) < 0.35] = 0.0
+        if i <= 2:
+            a = -np.abs(a)
+        lhs = float(a @ witness)
+        margin = float(rng.uniform(0.1, 1.0))
+        pick = 0.5 if i == 1 else 0.0 if i == 2 else rng.random()
+        if pick < 0.4:
+            rows.append((a, Relation.LE, lhs + min(margin, abs(lhs) / 2)))
+        elif pick < 0.8:
+            rows.append((a, Relation.GE, lhs - margin))
+        else:
+            rows.append((a, Relation.EQ, lhs))
+    names = tuple(f"x{j + 1}" for j in range(n))
+    return build_model(Sense.MAX, names, np.round(rng.uniform(-2.0, 2.0, n), 2), rows)
+
+
+def signed_zero_models():
+    # max: x + y + z; r1: -2x + 0 y - z >= -6 (stored as 2x - 0 y + z <= 6)
+    hand = build_model(
+        Sense.MAX, ("x", "y", "z"), (1.0, 1.0, 1.0),
+        [((-2.0, 0.0, -1.0), Relation.GE, -6.0), ((1.0, 1.0, 1.0), Relation.LE, 8.0),
+         ((0.0, 1.0, 2.0), Relation.GE, 1.0)],
+    )
+    return [hand] + [flipped_row_lp(rng_for(3200 + i)) for i in range(6)]
+
+
+def test_pivot_on_signed_zeros_differs_from_multiply_then_subtract_only_in_their_sign():
+    opts = SimplexOptions()
+    pivots = 0
+    for model in signed_zero_models():
+        t = init_tableau(to_big_m_form(model))
+        ref = Tableau(t.full.copy(), t.basis)
+        body = t.body
+        assert (np.signbit(body) & (body == 0.0)).any()
+        m, n = body.shape
+        while (enter := select_entering(t, opts)) is not None:
+            assert enter == select_entering(ref, opts)
+            leave = select_leaving(t, enter, opts)
+            assert leave == select_leaving(ref, enter, opts)
+            if leave is None:
+                break
+            t = pivot(t, leave, enter)
+            ref = broadcast_pivot(ref, leave, enter)
+            pivots += 1
+            assert t.basis == ref.basis and t.full.shape == ref.full.shape
+            assert np.array_equal(t.full, ref.full)
+            assert t.full[:, n].tobytes() == ref.full[:, n].tobytes()
+            assert t.full[m:].tobytes() == ref.full[m:].tobytes()
+            differ = t.full.view(np.int64) != ref.full.view(np.int64)
+            assert (t.full[differ] == 0.0).all()
+            if t.z_m is not None and max(t.basis) < n:
+                # No artificial is basic: drop the M row, as solve_simplex does.
+                t = Tableau(t.full[: m + 1], t.basis)
+                ref = Tableau(ref.full[: m + 1], ref.basis)
+    assert pivots > 20
+
+
+def test_solve_on_signed_zeros_matches_multiply_then_subtract(monkeypatch):
+    def solution_bytes(sol):
+        x = None if sol.x is None else sol.x.tobytes()
+        objective = None if sol.objective is None else sol.objective.hex()
+        trace = [(k, value.hex(), e, l) for k, value, e, l in sol.trace]
+        return sol.status, sol.iterations, objective, trace, x, sol.binding
+
+    for model in signed_zero_models():
+        for rule in (LARGEST_COEFFICIENT, BLAND):
+            opts = SimplexOptions(anti_cycling=rule)
+            sol = solve_simplex(model, opts)
+            monkeypatch.setattr(lpduet.simplex, "pivot", broadcast_pivot)
+            ref = solve_simplex(model, opts)
+            monkeypatch.undo()
+            assert sol.status is Status.OPTIMAL and sol.iterations > 0
+            assert solution_bytes(sol) == solution_bytes(ref)
 
 
 def ref_solve_simplex(model, opts):
