@@ -16,10 +16,12 @@ The projector is never materialized; P v is computed as v - Ahat^T y with
 (Ahat Ahat^T) y = Ahat v. Each direction forms the raw product Ahat Ahat^T
 (``gram``), factors it once by LAPACK's dpotrf, reading only its upper
 triangle (``cholesky``), and solves twice from that factor by dpotrs
-(``solve_spd``). These three kernels take the engine's own float64 arrays,
-unchecked. dpotrf and dpotrs are looked up from model.lapack() at each call;
-its cache loads scipy's wrappers on the first factorization, so importing
-lpduet and parsing LP text load no scipy.
+(``solve_spd``). dpotrf and dpotrs are looked up from model.lapack() at each
+call; its cache loads scipy's wrappers on the first factorization, so
+importing lpduet and parsing LP text load no scipy. solve_affine's first
+call, model.independent_rows, checks the form's shapes and finiteness, so
+these kernels, projected_direction and step take the engine's own float64
+arrays unchecked, keeping only NotInterior and dpotrf's NotPositiveDefinite.
 """
 
 from __future__ import annotations
@@ -29,12 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch, InfeasibleInterior, NonFiniteInput, NotInterior, NotPositiveDefinite, UnboundedDirection,
-)
-from .model import (
-    Solution, StandardForm, Status, as_matrix, as_vector, independent_rows, lapack, native_objective, solution_at,
-)
+from .errors import InfeasibleInterior, NonFiniteInput, NotInterior, NotPositiveDefinite, UnboundedDirection
+from .model import Solution, StandardForm, Status, independent_rows, lapack, native_objective, solution_at
 
 # Iterate budget for ||A x - b||, relative to 1 + ||b||.
 EQUALITY_RTOL = 1e-7
@@ -61,8 +59,6 @@ def cholesky(s: np.ndarray) -> np.ndarray:
     The factor is the lower triangle of the result, in Fortran order; the
     strict upper triangle is left as it was and never read.
     """
-    if s.shape[0] != s.shape[1]:
-        raise DimensionMismatch(f"matrix of shape {s.shape} is not square")
     factor, info = lapack().dpotrf(s.T, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
@@ -74,10 +70,7 @@ def solve_spd(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     A system with no rows has the empty solution.
     """
-    n = factor.shape[0]
-    if b.shape[0] != n:
-        raise DimensionMismatch(f"matrix is {n}x{n} but right-hand side has {b.shape[0]} entries")
-    if n == 0:
+    if factor.shape[0] == 0:
         return np.zeros(0)  # LAPACK's wrapper rejects a 0 x 0 system
     return lapack().dpotrs(factor, b, lower=1)[0]
 
@@ -120,13 +113,9 @@ def projected_direction(a, c, x) -> DirectionResult:
     even when the normal equations are badly scaled. With no rows, d is
     c_tilde and dual_y is empty. NotPositiveDefinite means the rows of
     A diag(x) are numerically dependent, though solve_affine dropped the
-    dependent rows.
+    dependent rows. Shapes and finiteness go unchecked; NotInterior when x
+    is not strictly positive.
     """
-    a = as_matrix(a)
-    c = as_vector(c)
-    x = as_vector(x)
-    if a.shape[1] != x.shape[0] or c.shape[0] != x.shape[0]:
-        raise DimensionMismatch("shapes of A, c and x do not agree")
     if float(x.min()) <= 0.0:
         raise NotInterior("scaling point must be strictly positive")
     ahat = a * x[np.newaxis, :]
@@ -145,14 +134,9 @@ def step(x, d, alpha: float, zero_tol: float = 0.0) -> np.ndarray:
     Returns x unchanged when ||d|| <= zero_tol (converged). Raises
     UnboundedDirection when d is not zero but has no component below
     -1e-12 * max|d|: the scaled objective then improves forever without
-    hitting a wall.
+    hitting a wall. Shapes, finiteness and 0 < alpha < 1 go unchecked;
+    NotInterior when x is not strictly positive.
     """
-    x = as_vector(x)
-    d = as_vector(d)
-    if x.shape != d.shape:
-        raise DimensionMismatch("x and d must have the same length")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
     if float(x.min()) <= 0.0:
         raise NotInterior("step origin must be strictly positive")
     if float(np.linalg.norm(d)) <= zero_tol:

@@ -9,9 +9,7 @@ import lpduet.affine
 
 from conftest import lana_model, rng_for, random_bounded_lp, scaled_row_lp, scaled_rows_lp
 from lpduet import (
-    DimensionMismatch,
     IpmOptions,
-    NonFiniteInput,
     Relation,
     Sense,
     Status,
@@ -105,15 +103,10 @@ def test_projected_direction_stays_in_nullspace():
 @pytest.mark.parametrize(
     "a, c, x, error",
     [
-        (np.ones((1, 3)), np.ones(2), np.ones(2), DimensionMismatch),  # A is too wide
-        (np.ones((1, 2)), np.ones(3), np.ones(2), DimensionMismatch),  # c is too long
         (np.ones((1, 2)), np.ones(2), np.array([1.0, 0.0]), NotInterior),
         (np.ones((1, 2)), np.ones(2), np.array([1.0, -1.0]), NotInterior),
-        (np.array([[1.0, np.nan]]), np.ones(2), np.ones(2), NonFiniteInput),
-        (np.ones((1, 2)), np.array([np.inf, 1.0]), np.ones(2), NonFiniteInput),
-        (np.ones((1, 2)), np.ones(2), np.array([1.0, np.nan]), NonFiniteInput),
     ],
-    ids=["wide-a", "long-c", "zero-x", "negative-x", "nan-a", "inf-c", "nan-x"],
+    ids=["zero-x", "negative-x"],
 )
 def test_projected_direction_rejects_bad_input(a, c, x, error):
     with pytest.raises(error):
@@ -123,15 +116,10 @@ def test_projected_direction_rejects_bad_input(a, c, x, error):
 @pytest.mark.parametrize(
     "x, d, alpha, error",
     [
-        (np.ones(2), np.ones(3), 0.5, DimensionMismatch),
-        (np.ones(2), np.array([1.0, -1.0]), 0.0, ValueError),
-        (np.ones(2), np.array([1.0, -1.0]), 1.0, ValueError),
         (np.array([1.0, 0.0]), np.array([1.0, -1.0]), 0.5, NotInterior),
         (np.array([1.0, -1.0]), np.array([1.0, -1.0]), 0.5, NotInterior),
-        (np.ones(2), np.array([np.nan, -1.0]), 0.5, NonFiniteInput),
-        (np.array([1.0, np.inf]), np.array([1.0, -1.0]), 0.5, NonFiniteInput),
     ],
-    ids=["length", "alpha-0", "alpha-1", "zero-origin", "negative-origin", "nan-d", "inf-x"],
+    ids=["zero-origin", "negative-origin"],
 )
 def test_step_rejects_bad_input(x, d, alpha, error):
     with pytest.raises(error):

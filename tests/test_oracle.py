@@ -22,6 +22,7 @@ from conftest import (
     scaled_rows_lp,
 )
 from lpduet import (
+    DimensionMismatch,
     NonFiniteInput,
     Relation,
     Sense,
@@ -579,6 +580,30 @@ def test_a_hand_built_form_with_nan_or_infinity_is_refused(entry, engine):
     array[index] = value
     with pytest.raises(NonFiniteInput):
         engine(dataclasses.replace(form, **{field: array}))
+
+
+# Fields changed one at a time in the equality form of "max: 3x + 2y; cap: x
+# + y <= 4; wall: x <= 2; floor: y >= 1;": 3 rows, 5 columns, slack rows
+# [0, 1, 2] after 2 structural columns.
+MISMATCHED = {
+    "short-c": lambda form: {"c": form.c[:-1]},
+    "long-b": lambda form: {"b": np.append(form.b, 1.0)},
+    "short-b": lambda form: {"b": form.b[:-1]},
+    "slack-row-out-of-range": lambda form: {"slack_rows": np.array([0, 1, 5])},
+    "n-structural": lambda form: {"n_structural": 3},
+    "slack-rows-unordered": lambda form: {"slack_rows": np.array([1, 0, 2])},
+    "slack-rows-not-a-vector": lambda form: {"slack_rows": np.array([[0, 1, 2]])},
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHED)
+@pytest.mark.parametrize("engine", [brute_force_optimum, solve_affine], ids=["oracle", "affine"])
+def test_a_hand_built_form_with_mismatched_shapes_is_refused(engine, case):
+    # Unchecked, each ends in a numpy error or warning, or, for the long b,
+    # in an oracle verdict of optimal.
+    form = to_equality_form(parse_lp_text("max: 3x + 2y;\ncap: x + y <= 4;\nwall: x <= 2;\nfloor: y >= 1;\n"))
+    with pytest.raises(DimensionMismatch):
+        engine(dataclasses.replace(form, **MISMATCHED[case](form)))
 
 
 @pytest.mark.parametrize("rhs", [1e6, 1e8])
